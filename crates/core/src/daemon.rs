@@ -48,8 +48,9 @@ pub struct DaemonConfig {
     /// window stays within [1/4x, 4x] of the configured size; the total
     /// access budget (`windows x window_accesses`) is preserved.
     pub adaptive_window: bool,
-    /// Worker threads for the parallel migration engine that executes each
-    /// window plan (1 runs the engine inline on the caller thread). The
+    /// Threads that compute phase A (compression and decompression) of the
+    /// migration engine that executes each window plan (1 runs it inline on
+    /// the caller thread). The
     /// engine's results and accounting are bit-identical for every value —
     /// this only changes how fast the host executes the plan.
     pub migration_workers: usize,

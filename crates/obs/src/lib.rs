@@ -13,10 +13,10 @@
 //! * Spans record **two** clocks: wall-clock nanoseconds (host-dependent,
 //!   exported only in the JSONL trace) and *modeled* nanoseconds (the
 //!   simulator's deterministic cost accounting, exported everywhere).
-//! * [`WorkerSink`] — a thread-scoped sink the parallel migration workers
-//!   fill independently; the caller merges sinks **by batch identity**
-//!   (destination-tier order), never by completion order, so the merged
-//!   registry is identical at any worker count.
+//! * [`WorkerSink`] — per-destination migration counters; the caller
+//!   merges sinks **by batch identity** (destination-tier order), never by
+//!   completion order, so the merged registry is identical at any worker
+//!   count.
 //!
 //! The snapshot serializer ([`Registry::snapshot_json`]) deliberately
 //! excludes every wall-clock quantity; [`Registry::trace_jsonl`] includes
@@ -147,10 +147,10 @@ impl SpanTimer {
     }
 }
 
-/// Thread-scoped sink for one parallel migration batch. Workers fill one
-/// per batch with plain field bumps (no locks, no allocation on the
-/// page-copy path); the caller folds sinks into the [`Registry`] in batch
-/// order, which makes the merged state independent of worker scheduling.
+/// Counters for one migration batch (one destination of a window plan),
+/// filled with plain field bumps (no locks, no allocation on the page-copy
+/// path); the caller folds sinks into the [`Registry`] in batch order,
+/// which makes the merged state independent of worker scheduling.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WorkerSink {
     /// Jobs attempted.
@@ -163,7 +163,8 @@ pub struct WorkerSink {
     pub failed: u64,
     /// Compressed payload bytes written to the destination tier.
     pub bytes_out: u64,
-    /// Wall-clock ns the batch's worker spent in phase A (trace only).
+    /// Host ns phase A spent on the batch's pages, summed over threads
+    /// (trace only).
     pub wall_ns: u64,
     /// Distribution of per-page compressed sizes.
     pub compressed_len: Histogram,

@@ -14,7 +14,9 @@ use ts_mem::{Machine, MediaKind, MediaSpec, PAGE_SIZE};
 use ts_obs::{Registry, SpanTimer, WorkerSink};
 use ts_workloads::{Access, Workload};
 use ts_zpool::{PoolError, PoolKind};
-use ts_zswap::{StoredPage, SwapDevice, TierId, ZswapError, ZswapSubsystem};
+use ts_zswap::{
+    Compressed, StoredPage, SwapDevice, TierId, ZswapError, ZswapResult, ZswapSubsystem,
+};
 
 /// Where a page currently lives.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -93,67 +95,121 @@ pub struct PlannedMove {
     pub dest: Placement,
 }
 
-/// Parallel-phase work for one page: zswap-only, touches no simulator
-/// state, so workers can run it from `&TieredSystem` borrows.
-enum PageJob {
-    /// Compressed→compressed copy (source invalidation deferred to phase B).
-    CtoC {
-        /// Source compressed-tier index.
-        from: u16,
-        /// Destination compressed-tier index.
-        to: u16,
-        /// Live source handle from the plan-time snapshot.
-        stored: StoredPage,
-    },
-    /// DRAM/byte-tier source compressed into tier `to` (fill + store).
-    Store {
-        /// Page whose content to regenerate and compress.
-        vpage: u64,
-        /// Destination compressed-tier index.
-        to: u16,
-    },
-    /// Compressed source decompressed toward a byte destination
-    /// (read-only copy-out; invalidation deferred to phase B).
-    Fault {
-        /// Source compressed-tier index.
-        from: u16,
-        /// Live source handle from the plan-time snapshot.
-        stored: StoredPage,
-    },
+/// Pages per worker in one phase-A chunk of [`TieredSystem::execute_plan`].
+/// Phase B applies a chunk's output before the next chunk is computed, so
+/// the engine holds at most this many pages' output per worker at a time.
+const CHUNK_PAGES_PER_WORKER: usize = 256;
+
+/// What phase A of [`TieredSystem::execute_plan`] computed for one page,
+/// for the serial path to apply.
+enum Prepared {
+    /// Nothing: the serial path does all of the page's work.
+    Nothing,
+    /// The page compressed for its compressed destination.
+    Compressed(Compressed),
+    /// The compressed source decoded toward a byte destination. The bytes
+    /// are dropped: page content is regenerable.
+    Decoded,
 }
 
-/// Output of one successful phase-A job.
-enum JobOut {
-    /// `CtoC` outcome: new destination handle plus modeled cost.
-    Copied(ts_zswap::MigrationOutcome),
-    /// `Store` outcome: new destination handle.
-    Stored(StoredPage),
-    /// `Fault` done (decompressed bytes are discarded — content is
-    /// regenerable).
-    Faulted,
-}
-
-/// One batch's phase-A job results plus its thread-scoped metrics sink.
-type BatchOut = (Vec<Result<JobOut, ZswapError>>, WorkerSink);
-
-/// How one page of a plan is executed.
+/// How phase B of [`TieredSystem::execute_plan`] handles one page.
+#[derive(Debug, Clone, Copy)]
 enum Disposition {
     /// Already at the destination — nothing to do.
     Skip,
-    /// Legacy serial `migrate_page` in phase B (swapped or same-filled
-    /// sources, handle-less `Modeled` pages, duplicate plan entries).
-    Serial,
-    /// Apply the result of phase-A job `job` of batch `batch`.
-    Parallel {
-        /// Batch index (one batch per destination placement).
-        batch: usize,
-        /// Job index within the batch.
-        job: usize,
-    },
-    /// Injected migration abort (fault plan): the page was never
-    /// enqueued, keeps its source placement, and phase B repairs the
-    /// report accounting (counted neither moved nor rejected).
+    /// Injected migration abort (fault plan): the page keeps its source
+    /// placement and counts neither moved nor rejected.
     Aborted,
+    /// Serial path, charged page by page (swapped or same-filled sources,
+    /// `Modeled`-fidelity pages without real handles, duplicate plan
+    /// entries).
+    Serial,
+    /// Charged to the logical worker of destination (batch) `.0`; phase A
+    /// precomputes the page's pure work.
+    Batched(usize),
+}
+
+/// One page of a window plan, classified in phase 0.
+struct PlanPage {
+    /// Index of the plan entry the page belongs to.
+    entry: usize,
+    vpage: u64,
+    /// Residency when the plan was classified.
+    snap: Residency,
+    disposition: Disposition,
+}
+
+/// Modeled cost of one page move in ns, kept in parts: the serial path
+/// and the batched cost model each sum them in their own fixed order, so
+/// every charged nanosecond is reproducible bit for bit.
+#[derive(Debug, Clone, Copy, Default)]
+struct MoveCost {
+    /// Reading the page out of its source (or a whole zswap migration).
+    out: f64,
+    /// Compressing into a compressed destination.
+    compress: f64,
+    /// Streaming into the destination.
+    stream_in: f64,
+    /// Pool-limit writeback the move triggered.
+    writeback: f64,
+}
+
+impl MoveCost {
+    /// The move alone, as the batched cost model charges it.
+    fn batched(self) -> f64 {
+        self.out + self.compress + self.stream_in
+    }
+
+    /// The move plus its writeback, as the serial path charges it.
+    fn serial(self) -> f64 {
+        self.out + (self.compress + self.stream_in) + self.writeback
+    }
+}
+
+/// Phase-A work for one page: the pure part of moving a page from
+/// residency `snap` to `dest`. Reads zswap and the workload only.
+fn prepare(
+    z: &ZswapSubsystem,
+    ids: &[TierId],
+    workload: &dyn Workload,
+    page: &PlanPage,
+    dest: Placement,
+    buf: &mut [u8],
+) -> ZswapResult<Prepared> {
+    match (page.snap, dest) {
+        (
+            Residency::Compressed {
+                tier,
+                stored: Some(s),
+                ..
+            },
+            Placement::Compressed(t),
+        ) => {
+            let (from, to) = (ids[tier as usize], ids[t]);
+            // The §7.1 same-algorithm fast path is a memcpy: left serial.
+            if z.tier(from)?.config().algorithm == z.tier(to)?.config().algorithm {
+                Ok(Prepared::Nothing)
+            } else {
+                z.recompress(from, to, s).map(Prepared::Compressed)
+            }
+        }
+        (
+            Residency::Compressed {
+                tier,
+                stored: Some(s),
+                ..
+            },
+            _,
+        ) => z
+            .tier(ids[tier as usize])?
+            .decompress(s)
+            .map(|_| Prepared::Decoded),
+        (_, Placement::Compressed(t)) => {
+            workload.fill_page(page.vpage, buf);
+            Ok(Prepared::Compressed(z.tier(ids[t])?.compress(buf)))
+        }
+        _ => Ok(Prepared::Nothing),
+    }
 }
 
 /// Performance accounting snapshot (Eq. 3–7).
@@ -410,7 +466,7 @@ impl TieredSystem {
     /// byte-identical to the fault-free build.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         let plan = Arc::new(plan);
-        if let Some(z) = &self.zswap {
+        if let Some(z) = &mut self.zswap {
             z.set_fault_plan(&plan);
         }
         self.faults = Some(plan);
@@ -650,7 +706,7 @@ impl TieredSystem {
     /// Backing pool bytes of compressed tier `i`.
     pub fn tier_pool_bytes(&self, i: usize) -> u64 {
         match &self.zswap {
-            Some(z) => z.tiers()[i].read().pool_stats().pool_bytes(),
+            Some(z) => z.tiers()[i].pool_stats().pool_bytes(),
             None => self.tier_stats[i].pool_bytes_modeled,
         }
     }
@@ -784,37 +840,32 @@ impl TieredSystem {
         // Decompression + landing-tier access (Eq. 5). Same-filled pages
         // (comp_len 0) reconstruct with a memset.
         let tcfg = &self.cfg.compressed_tiers[tier];
-        let mut lat = if comp_len == 0 {
+        let lat = if comp_len == 0 {
             ts_zswap::tier::SAME_FILLED_FAULT_NS
         } else {
             tcfg.decompress_latency_ns() + tcfg.media.default_spec().stream_ns(comp_len as u64)
         };
-        // Place in DRAM if it has room, else first byte tier with room.
-        let dram_room = self.dram_used_bytes() + (PAGE_SIZE as u64) <= self.cfg.dram_bytes;
-        if dram_room {
-            self.pages[vpage as usize] = Residency::Dram;
-            self.resident[0] += 1;
-            lat += self.dram_spec.read_latency_ns;
-        } else {
-            let mut placed = false;
+        lat + self.land_faulted(vpage)
+    }
+
+    /// Land a faulted page in DRAM, or in the first byte tier with room
+    /// when DRAM is full (§6.5), overcommitting DRAM when none has room.
+    /// Returns the landing tier's read latency.
+    fn land_faulted(&mut self, vpage: u64) -> f64 {
+        if self.dram_used_bytes() + (PAGE_SIZE as u64) > self.cfg.dram_bytes {
             for (i, &(_, cap)) in self.cfg.byte_tiers.iter().enumerate() {
                 if (self.resident[1 + i] + 1) * PAGE_SIZE as u64 <= cap {
                     self.pages[vpage as usize] = Residency::Byte(i as u16);
                     self.resident[1 + i] += 1;
-                    lat += self.byte_specs[i].read_latency_ns;
-                    placed = true;
-                    break;
+                    return self.byte_specs[i].read_latency_ns;
                 }
             }
-            if !placed {
-                // Overcommit DRAM (tracked; real systems would reclaim).
-                self.pages[vpage as usize] = Residency::Dram;
-                self.resident[0] += 1;
-                self.dram_overflow_faults += 1;
-                lat += self.dram_spec.read_latency_ns;
-            }
+            // Overcommit DRAM (tracked; real systems would reclaim).
+            self.dram_overflow_faults += 1;
         }
-        lat
+        self.pages[vpage as usize] = Residency::Dram;
+        self.resident[0] += 1;
+        self.dram_spec.read_latency_ns
     }
 
     /// Swap-in path: read the compressed object from the swap device,
@@ -840,32 +891,8 @@ impl TieredSystem {
         self.swap_bytes -= comp_len as u64;
         self.swap_faults += 1;
         let tcfg = &self.cfg.compressed_tiers[origin_tier];
-        let mut lat = SwapDevice::READ_NS + tcfg.decompress_latency_ns();
-        // Land in DRAM (or the first byte tier with room), like fault_in.
-        let dram_room = self.dram_used_bytes() + (PAGE_SIZE as u64) <= self.cfg.dram_bytes;
-        if dram_room {
-            self.pages[vpage as usize] = Residency::Dram;
-            self.resident[0] += 1;
-            lat += self.dram_spec.read_latency_ns;
-        } else {
-            let mut placed = false;
-            for (i, &(_, cap)) in self.cfg.byte_tiers.iter().enumerate() {
-                if (self.resident[1 + i] + 1) * PAGE_SIZE as u64 <= cap {
-                    self.pages[vpage as usize] = Residency::Byte(i as u16);
-                    self.resident[1 + i] += 1;
-                    lat += self.byte_specs[i].read_latency_ns;
-                    placed = true;
-                    break;
-                }
-            }
-            if !placed {
-                self.pages[vpage as usize] = Residency::Dram;
-                self.resident[0] += 1;
-                self.dram_overflow_faults += 1;
-                lat += self.dram_spec.read_latency_ns;
-            }
-        }
-        lat
+        let lat = SwapDevice::READ_NS + tcfg.decompress_latency_ns();
+        lat + self.land_faulted(vpage)
     }
 
     /// Enforce tier `t`'s pool limit by writing the oldest compressed pages
@@ -967,82 +994,106 @@ impl TieredSystem {
         }
     }
 
-    /// One migration attempt to exactly `dest` (no waterfall fallback).
+    /// One migration attempt to exactly `dest` (no waterfall fallback),
+    /// charged to the daemon.
     fn migrate_page_once(&mut self, vpage: u64, dest: Placement) -> SimResult<f64> {
-        let src = self.page_placement(vpage);
-        if src == dest {
+        if self.page_placement(vpage) == dest {
             return Ok(0.0);
         }
-        let cost = match dest {
-            Placement::Dram | Placement::ByteTier(_) => {
-                let out_cost = self.remove_from_current(vpage);
-                let in_cost = self.place_byte(vpage, dest);
-                out_cost + in_cost
-            }
-            Placement::Compressed(t) => {
-                // Compressed-to-compressed can use the zswap fast path.
-                let fast = match self.pages[vpage as usize] {
-                    Residency::Compressed {
-                        tier: from,
-                        stored: Some(s),
-                        comp_len,
-                    } if self.zswap.is_some() => Some((from, s, comp_len)),
-                    _ => None,
-                };
-                if let Some((from, s, comp_len)) = fast {
-                    let from_id = self.zswap_ids[from as usize];
-                    let to_id = self.zswap_ids[t];
-                    let result = match self.zswap.as_mut() {
-                        Some(z) => z.migrate_with_cost(from_id, to_id, s),
-                        // `fast` implies zswap is present; degrade to the
-                        // slow path rather than panic if it is not.
-                        None => return self.compress_into(vpage, t),
-                    };
-                    match result {
-                        Ok(out) => {
-                            let fs = &mut self.tier_stats[from as usize];
-                            fs.pages -= 1;
-                            fs.comp_bytes -= comp_len as u64;
-                            let ts = &mut self.tier_stats[t];
-                            ts.pages += 1;
-                            ts.comp_bytes += out.stored.compressed_len as u64;
-                            ts.stores += 1;
-                            self.pages[vpage as usize] = Residency::Compressed {
-                                tier: t as u16,
-                                comp_len: out.stored.compressed_len as u32,
-                                stored: Some(out.stored),
-                            };
-                            // The page is now a writeback candidate in its
-                            // new tier, whose pool limit must still hold.
-                            self.wb_order[t].push_back(vpage);
-                            out.cost_ns + self.enforce_pool_limit(t)
-                        }
-                        Err(ZswapError::Incompressible) => {
-                            self.tier_stats[t].rejections += 1;
-                            return Err(SimError::Rejected);
-                        }
-                        Err(ZswapError::CompressFailed) => {
-                            self.fault_counters.bump(FaultSite::ZswapStore);
-                            return Err(SimError::Tier(TierError::CompressFailed));
-                        }
-                        Err(ZswapError::Pool(PoolError::OutOfMemory)) if self.faults.is_some() => {
-                            self.fault_counters.bump(FaultSite::PoolAlloc);
-                            return Err(SimError::Tier(TierError::PoolExhausted));
-                        }
-                        Err(e) => return Err(SimError::Zswap(e)),
-                    }
-                } else {
-                    self.compress_into(vpage, t)?
-                }
-            }
-        };
+        let cost = self.move_page(vpage, dest, Prepared::Nothing)?.serial();
         self.daemon_ns += cost;
         self.advance_tco(cost);
         Ok(cost)
     }
 
-    /// Remove a page from its current residency, returning the read-out cost.
-    fn remove_from_current(&mut self, vpage: u64) -> f64 {
+    /// Move one page to exactly `dest`, applying what phase A `prepared`
+    /// for it ([`Prepared::Nothing`] computes everything here). Charges
+    /// nothing; the caller charges the returned cost.
+    fn move_page(
+        &mut self,
+        vpage: u64,
+        dest: Placement,
+        prepared: Prepared,
+    ) -> SimResult<MoveCost> {
+        let t = match dest {
+            Placement::Dram | Placement::ByteTier(_) => {
+                let decoded = matches!(prepared, Prepared::Decoded);
+                let out = self.remove_from_current(vpage, decoded);
+                return Ok(MoveCost {
+                    out,
+                    stream_in: self.place_byte(vpage, dest),
+                    ..MoveCost::default()
+                });
+            }
+            Placement::Compressed(t) => t,
+        };
+        // Compressed-to-compressed uses the zswap migration path.
+        let Residency::Compressed {
+            tier: from,
+            stored: Some(s),
+            comp_len,
+        } = self.pages[vpage as usize]
+        else {
+            return self.compress_into(vpage, t, prepared);
+        };
+        let Some(z) = self.zswap.as_mut() else {
+            return self.compress_into(vpage, t, prepared);
+        };
+        let recompressed = match prepared {
+            Prepared::Compressed(c) => Some(c),
+            Prepared::Nothing | Prepared::Decoded => None,
+        };
+        let (from_id, to_id) = (self.zswap_ids[from as usize], self.zswap_ids[t]);
+        let out = match z.migrate_prepared(from_id, to_id, s, recompressed) {
+            Ok(out) => out,
+            Err(e) => return Err(self.store_error(t, e)),
+        };
+        let fs = &mut self.tier_stats[from as usize];
+        fs.pages -= 1;
+        fs.comp_bytes -= comp_len as u64;
+        let ts = &mut self.tier_stats[t];
+        ts.pages += 1;
+        ts.comp_bytes += out.stored.compressed_len as u64;
+        ts.stores += 1;
+        self.pages[vpage as usize] = Residency::Compressed {
+            tier: t as u16,
+            comp_len: out.stored.compressed_len as u32,
+            stored: Some(out.stored),
+        };
+        // The page is now a writeback candidate in its new tier, whose
+        // pool limit must still hold.
+        self.wb_order[t].push_back(vpage);
+        Ok(MoveCost {
+            out: out.cost_ns,
+            writeback: self.enforce_pool_limit(t),
+            ..MoveCost::default()
+        })
+    }
+
+    /// Map a failed zswap store into compressed tier `t` onto the
+    /// simulator's error, counting rejections and injected faults.
+    fn store_error(&mut self, t: usize, e: ZswapError) -> SimError {
+        match e {
+            ZswapError::Incompressible => {
+                self.tier_stats[t].rejections += 1;
+                SimError::Rejected
+            }
+            ZswapError::CompressFailed => {
+                self.fault_counters.bump(FaultSite::ZswapStore);
+                SimError::Tier(TierError::CompressFailed)
+            }
+            ZswapError::Pool(PoolError::OutOfMemory) if self.faults.is_some() => {
+                self.fault_counters.bump(FaultSite::PoolAlloc);
+                SimError::Tier(TierError::PoolExhausted)
+            }
+            e => SimError::Zswap(e),
+        }
+    }
+
+    /// Remove a page from its current residency, returning the read-out
+    /// cost. `decoded` says phase A already decompressed a compressed
+    /// source, so it is only released here.
+    fn remove_from_current(&mut self, vpage: u64, decoded: bool) -> f64 {
         match self.pages[vpage as usize] {
             Residency::Dram => {
                 self.resident[0] -= 1;
@@ -1072,7 +1123,11 @@ impl TieredSystem {
             } => {
                 if let (Some(z), Some(s)) = (self.zswap.as_mut(), stored) {
                     let id = self.zswap_ids[tier as usize];
-                    let _ = z.load(id, s).expect("stored page is live");
+                    if decoded {
+                        z.invalidate(id, s).expect("stored page is live");
+                    } else {
+                        let _ = z.load(id, s).expect("stored page is live");
+                    }
                 }
                 let st = &mut self.tier_stats[tier as usize];
                 st.pages -= 1;
@@ -1110,13 +1165,14 @@ impl TieredSystem {
         }
     }
 
-    /// Compress page `vpage` into tier `t` from a byte-addressable source.
-    fn compress_into(&mut self, vpage: u64, t: usize) -> SimResult<f64> {
-        let tcfg = self.cfg.compressed_tiers[t].clone();
+    /// Compress page `vpage` into tier `t` from a byte-addressable (or
+    /// swapped, or handle-less) source, using phase A's compressed bytes
+    /// when `prepared` carries them.
+    fn compress_into(&mut self, vpage: u64, t: usize, prepared: Prepared) -> SimResult<MoveCost> {
         // `Modeled` fidelity has no zswap layer to trip inside, so the
         // store-path faults are drawn here on the serial path. (`Real`
         // fidelity injects inside ts-zswap/ts-zpool instead, keyed by the
-        // single-writer store counters, and the errors are mapped below.)
+        // store counters, and the errors are mapped by `store_error`.)
         if self.zswap.is_none() {
             if self.fault_trips(FaultSite::ZswapStore) {
                 self.fault_counters.bump(FaultSite::ZswapStore);
@@ -1129,23 +1185,20 @@ impl TieredSystem {
         }
         let (comp_len, stored) = match &mut self.zswap {
             Some(z) => {
-                self.workload.fill_page(vpage, &mut self.page_buf);
-                let id = self.zswap_ids[t];
-                match z.store(id, &self.page_buf) {
+                let (workload, buf) = (&self.workload, &mut self.page_buf);
+                let result = z.tier_mut(self.zswap_ids[t]).and_then(|tier| {
+                    let compressed = match prepared {
+                        Prepared::Compressed(c) => c,
+                        Prepared::Nothing | Prepared::Decoded => {
+                            workload.fill_page(vpage, buf);
+                            tier.compress(buf)
+                        }
+                    };
+                    tier.insert(&compressed, PAGE_SIZE)
+                });
+                match result {
                     Ok(s) => (s.compressed_len as u32, Some(s)),
-                    Err(ZswapError::Incompressible) => {
-                        self.tier_stats[t].rejections += 1;
-                        return Err(SimError::Rejected);
-                    }
-                    Err(ZswapError::CompressFailed) => {
-                        self.fault_counters.bump(FaultSite::ZswapStore);
-                        return Err(SimError::Tier(TierError::CompressFailed));
-                    }
-                    Err(ZswapError::Pool(PoolError::OutOfMemory)) if self.faults.is_some() => {
-                        self.fault_counters.bump(FaultSite::PoolAlloc);
-                        return Err(SimError::Tier(TierError::PoolExhausted));
-                    }
-                    Err(e) => return Err(SimError::Zswap(e)),
+                    Err(e) => return Err(self.store_error(t, e)),
                 }
             }
             None => {
@@ -1156,7 +1209,8 @@ impl TieredSystem {
                     (0, None)
                 } else {
                     let tag = vpage ^ self.cfg.seed.rotate_left(13);
-                    match self.calib.modeled_len(tcfg.algorithm, class, tag) {
+                    let algorithm = self.cfg.compressed_tiers[t].algorithm;
+                    match self.calib.modeled_len(algorithm, class, tag) {
                         Some(n) => (n as u32, None),
                         None => {
                             self.tier_stats[t].rejections += 1;
@@ -1167,13 +1221,13 @@ impl TieredSystem {
             }
         };
         // Only detach from the source once the compression side committed.
-        let out_cost = self.remove_from_current(vpage);
+        let out = self.remove_from_current(vpage, false);
         let st = &mut self.tier_stats[t];
         st.pages += 1;
         st.comp_bytes += comp_len as u64;
         st.stores += 1;
         if self.zswap.is_none() {
-            st.pool_bytes_modeled += Self::pool_share(tcfg.pool, comp_len);
+            st.pool_bytes_modeled += Self::pool_share(self.cfg.compressed_tiers[t].pool, comp_len);
         }
         self.pages[vpage as usize] = Residency::Compressed {
             tier: t as u16,
@@ -1181,10 +1235,14 @@ impl TieredSystem {
             stored,
         };
         self.wb_order[t].push_back(vpage);
-        let wb_cost = self.enforce_pool_limit(t);
-        let in_cost =
-            tcfg.compress_latency_ns() + tcfg.media.default_spec().stream_ns(comp_len as u64);
-        Ok(out_cost + in_cost + wb_cost)
+        let writeback = self.enforce_pool_limit(t);
+        let tcfg = &self.cfg.compressed_tiers[t];
+        Ok(MoveCost {
+            out,
+            compress: tcfg.compress_latency_ns(),
+            stream_in: tcfg.media.default_spec().stream_ns(comp_len as u64),
+            writeback,
+        })
     }
 
     /// Migrate every page of `region` to `dest`; rejected pages stay put.
@@ -1208,30 +1266,32 @@ impl TieredSystem {
         report
     }
 
-    /// Execute a whole window plan through the parallel migration engine.
+    /// Execute a whole window plan through the migration engine.
     ///
-    /// The plan's pages are partitioned into batches by *destination*
-    /// placement and the batches run on a scoped worker pool (`workers`
-    /// threads; 1 runs every batch inline on the caller thread). Phase A is
-    /// zswap-only: each batch's worker compresses/copies/decompresses its
-    /// pages into the destination tier, deferring every source
-    /// invalidation. Phase B then walks the plan serially in plan order,
-    /// merging results **by batch identity, never by completion order**:
-    /// it applies residency/stats bookkeeping, invalidates sources, and
-    /// enforces pool limits.
+    /// * **Phase 0** classifies every page of the plan against the page
+    ///   table, in plan order: already there, aborted by an injected
+    ///   migration fault, serial, or batched (a move the engine can
+    ///   precompute — a byte source into a compressed tier, or a stored
+    ///   compressed source into a compressed or byte tier).
+    /// * **Phase A** runs the batched pages' pure work — fill and
+    ///   compress, decompress and recompress, decompress — on up to
+    ///   `workers` scoped threads, in chunks of at most
+    ///   [`CHUNK_PAGES_PER_WORKER`] pages per worker. It only reads the
+    ///   system.
+    /// * **Phase B** applies every page in plan order through the one
+    ///   serial migration path, which takes phase A's output instead of
+    ///   recomputing it. Each chunk is applied before the next is
+    ///   computed. A page whose residency changed since phase 0 (an
+    ///   earlier page's pool-limit writeback evicted it) takes the serial
+    ///   path uncomputed.
     ///
-    /// Because one worker owns a destination tier end to end, sources are
-    /// only read in phase A, and all costs are closed-form in the page
-    /// sizes, the outcome — placements, statistics, and every charged
-    /// nanosecond — is bit-identical for any `workers` value. The charged
-    /// daemon time models one logical worker per batch: the wall-clock
-    /// cost is the *slowest batch's* busy time (plus the serial phase-B
-    /// extras), not the sum over batches.
-    ///
-    /// Pages the engine cannot batch safely (swapped or same-filled
-    /// sources, `Modeled`-fidelity pages without real handles, duplicate
-    /// plan entries) fall back to [`TieredSystem::migrate_page`], threaded
-    /// through phase B at their plan position.
+    /// Every state change happens in phase B, in plan order, and every
+    /// cost is closed-form in the page sizes, so the outcome — placements,
+    /// statistics and every charged nanosecond — is bit-identical for any
+    /// `workers` value. The charged daemon time models one logical worker
+    /// per destination: the *slowest destination's* batched time plus the
+    /// batched moves' writeback, while serial pages are charged one by
+    /// one.
     pub fn execute_plan(&mut self, moves: &[PlannedMove], workers: usize) -> MigrationReport {
         let workers = workers.max(1);
         let mut report = MigrationReport {
@@ -1240,373 +1300,128 @@ impl TieredSystem {
         };
         let faults_before = self.fault_counters;
 
-        // Phase 0: classify every page of the plan against a snapshot of
-        // the page table. Nothing below mutates simulator state until
-        // phase B, so the snapshot is exact; only phase-B pool-limit
-        // writeback can invalidate it (caught by the stale guard below).
-        // A region listed twice would see the first entry's effects, so
-        // duplicates take the serial path.
+        // Phase 0. Nothing below changes the page table until phase B. A
+        // region listed twice sees the first entry's effects, so its later
+        // entries take the serial path, which checks placement when it
+        // gets there.
         let mut seen = std::collections::BTreeSet::new();
-        let mut batch_of: std::collections::BTreeMap<Placement, usize> =
-            std::collections::BTreeMap::new();
-        // Batches in first-appearance order of their destination.
-        let mut batches: Vec<(Placement, Vec<PageJob>)> = Vec::new();
-        let mut plan_pages: Vec<(usize, u64, Residency, Disposition)> = Vec::new();
-
-        for (ei, mv) in moves.iter().enumerate() {
+        // Destinations with batched pages, in first-appearance order.
+        let mut dests: Vec<Placement> = Vec::new();
+        let mut plan_pages: Vec<PlanPage> = Vec::new();
+        for (entry, mv) in moves.iter().enumerate() {
             let fresh = seen.insert(mv.region);
             for vpage in self.region_pages(mv.region) {
-                let res = self.pages[vpage as usize];
-                if self.page_placement(vpage) == mv.dest {
-                    plan_pages.push((ei, vpage, res, Disposition::Skip));
-                    continue;
-                }
-                // Injected migration abort: drawn here, on the serial
-                // classification pass, so the decision sequence (and thus
-                // the whole run) is identical at any worker count. The
-                // page is never enqueued and keeps its placement.
-                if self.fault_trips(FaultSite::MigrationCopy) {
+                let snap = self.pages[vpage as usize];
+                let disposition = if fresh && self.page_placement(vpage) == mv.dest {
+                    Disposition::Skip
+                } else if self.fault_trips(FaultSite::MigrationCopy) {
+                    // Drawn on this serial pass, so the decision sequence
+                    // is identical at any worker count.
                     self.fault_counters.bump(FaultSite::MigrationCopy);
-                    plan_pages.push((ei, vpage, res, Disposition::Aborted));
-                    continue;
-                }
-                let job = if !fresh || self.zswap.is_none() {
-                    None
+                    Disposition::Aborted
+                } else if fresh && self.zswap.is_some() && Self::batchable(snap, mv.dest) {
+                    let b = dests.iter().position(|&d| d == mv.dest);
+                    Disposition::Batched(b.unwrap_or_else(|| {
+                        dests.push(mv.dest);
+                        dests.len() - 1
+                    }))
                 } else {
-                    match (res, mv.dest) {
-                        (
-                            Residency::Compressed {
-                                tier,
-                                stored: Some(s),
-                                ..
-                            },
-                            Placement::Compressed(t),
-                        ) if !s.is_same_filled() => Some(PageJob::CtoC {
-                            from: tier,
-                            to: t as u16,
-                            stored: s,
-                        }),
-                        (Residency::Dram | Residency::Byte(_), Placement::Compressed(t)) => {
-                            Some(PageJob::Store {
-                                vpage,
-                                to: t as u16,
-                            })
-                        }
-                        (
-                            Residency::Compressed {
-                                tier,
-                                stored: Some(s),
-                                comp_len,
-                            },
-                            Placement::Dram | Placement::ByteTier(_),
-                        ) if comp_len > 0 => Some(PageJob::Fault {
-                            from: tier,
-                            stored: s,
-                        }),
-                        // Swapped sources need the single-writer swap
-                        // device; same-filled and handle-less pages are
-                        // pure bookkeeping. All cheap — serial.
-                        _ => None,
-                    }
+                    Disposition::Serial
                 };
-                match job {
-                    Some(j) => {
-                        let b = *batch_of.entry(mv.dest).or_insert_with(|| {
-                            batches.push((mv.dest, Vec::new()));
-                            batches.len() - 1
-                        });
-                        batches[b].1.push(j);
-                        let ji = batches[b].1.len() - 1;
-                        plan_pages.push((
-                            ei,
-                            vpage,
-                            res,
-                            Disposition::Parallel { batch: b, job: ji },
-                        ));
-                    }
-                    None => plan_pages.push((ei, vpage, res, Disposition::Serial)),
-                }
+                plan_pages.push(PlanPage {
+                    entry,
+                    vpage,
+                    snap,
+                    disposition,
+                });
             }
         }
-        report.batches = batches.len() as u32;
+        report.batches = dests.len() as u32;
+        let batched: Vec<usize> = (0..plan_pages.len())
+            .filter(|&i| matches!(plan_pages[i].disposition, Disposition::Batched(_)))
+            .collect();
+        let mut chunks = batched.chunks(CHUNK_PAGES_PER_WORKER * workers);
+        let mut ready = Vec::new().into_iter();
 
-        // Phase A: run the batches' zswap work on the worker pool. One
-        // worker owns a batch end to end, so every destination tier has a
-        // single writer; source tiers are only read. Results land in a
-        // slot per batch — merged by identity, not completion order. Each
-        // batch also fills a thread-scoped metrics sink (plain field bumps,
-        // no locks on the page-copy path); only the sink's wall-clock is
-        // host-dependent, and that never reaches the metrics snapshot.
-        let results: Vec<BatchOut> = if batches.is_empty() {
-            Vec::new()
-        } else {
-            let z = self
-                .zswap
-                .as_ref()
-                .expect("batched jobs imply Real fidelity");
-            let ids = &self.zswap_ids;
-            let wl: &dyn Workload = self.workload.as_ref();
-            let run_batch = |jobs: &[PageJob]| -> BatchOut {
-                let timer = SpanTimer::new();
-                let mut sink = WorkerSink::default();
-                let mut buf = vec![0u8; PAGE_SIZE];
-                let out = jobs
-                    .iter()
-                    .map(|job| {
-                        let r = match *job {
-                            PageJob::CtoC { from, to, stored } => z
-                                .migrate_copy(ids[from as usize], ids[to as usize], stored)
-                                .map(JobOut::Copied),
-                            PageJob::Store { vpage, to } => {
-                                wl.fill_page(vpage, &mut buf);
-                                z.store(ids[to as usize], &buf).map(JobOut::Stored)
-                            }
-                            PageJob::Fault { from, stored } => z
-                                .fault_copy(ids[from as usize], stored)
-                                .map(|_| JobOut::Faulted),
-                        };
-                        match &r {
-                            Ok(JobOut::Copied(m)) => {
-                                sink.record_store(m.stored.compressed_len as u64)
-                            }
-                            Ok(JobOut::Stored(s)) => sink.record_store(s.compressed_len as u64),
-                            Ok(JobOut::Faulted) => sink.record_fault(),
-                            Err(_) => sink.record_failure(),
-                        }
-                        r
-                    })
-                    .collect();
-                sink.wall_ns = timer.elapsed_ns();
-                (out, sink)
-            };
-            if workers == 1 || batches.len() == 1 {
-                batches.iter().map(|(_, jobs)| run_batch(jobs)).collect()
-            } else {
-                let nworkers = workers.min(batches.len());
-                let batches_ref = &batches;
-                let run = &run_batch;
-                crossbeam::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..nworkers)
-                        .map(|w| {
-                            scope.spawn(move |_| {
-                                batches_ref
-                                    .iter()
-                                    .enumerate()
-                                    .filter(|(i, _)| i % nworkers == w)
-                                    .map(|(i, (_, jobs))| (i, run(jobs)))
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    let mut merged: Vec<Option<BatchOut>> =
-                        (0..batches_ref.len()).map(|_| None).collect();
-                    for h in handles {
-                        for (i, r) in h.join().expect("migration worker panicked") {
-                            merged[i] = Some(r);
-                        }
-                    }
-                    merged
-                        .into_iter()
-                        .map(|r| r.expect("round-robin covers every batch"))
-                        .collect()
-                })
-                .expect("scope propagates panics instead of erring")
-            }
-        };
-
-        // Phase B: apply results serially, in plan order.
-        let mut busy = vec![0.0f64; batches.len()];
+        // Phase B, computing phase A chunk by chunk as it reaches them.
+        let mut busy = vec![0.0f64; dests.len()];
+        let mut sinks = vec![WorkerSink::default(); dests.len()];
         let mut serial_extra = 0.0f64;
         let mut tail_ns = 0.0f64;
         let mut entry_moved = vec![false; moves.len()];
-        let mut serial_pages = 0u64;
-        let mut skipped_pages = 0u64;
-        let mut aborted_pages = 0u64;
-
-        for (ei, vpage, snap, disp) in plan_pages {
-            let dest = moves[ei].dest;
-            match disp {
-                Disposition::Skip => skipped_pages += 1,
-                // Repair for an aborted page: it kept its source placement
-                // and the report counts it neither moved nor rejected, so
-                // the accounting stays exact.
-                Disposition::Aborted => aborted_pages += 1,
+        let (mut serial_pages, mut skipped_pages, mut aborted_pages) = (0u64, 0u64, 0u64);
+        for page in &plan_pages {
+            let (vpage, dest) = (page.vpage, moves[page.entry].dest);
+            let batch = match page.disposition {
+                Disposition::Skip => {
+                    skipped_pages += 1;
+                    continue;
+                }
+                Disposition::Aborted => {
+                    aborted_pages += 1;
+                    continue;
+                }
                 Disposition::Serial => {
                     serial_pages += 1;
-                    match self.migrate_page(vpage, dest) {
-                        Ok(c) => {
-                            if c > 0.0 {
-                                report.moved += 1;
-                                entry_moved[ei] = true;
-                            }
-                            tail_ns += c;
+                    None
+                }
+                Disposition::Batched(b) => {
+                    if ready.len() == 0 {
+                        let chunk = chunks.next().expect("one chunk slot per batched page");
+                        ready = self.phase_a(&plan_pages, chunk, moves, workers).into_iter();
+                    }
+                    let (prepared, wall_ns) = ready.next().expect("chunk is non-empty");
+                    sinks[b].wall_ns += wall_ns;
+                    Some((b, prepared))
+                }
+            };
+            // Whatever is left for the serial path, charged page by page.
+            let serial = match batch {
+                Some((b, prepared)) if self.pages[vpage as usize] == page.snap => {
+                    let result = prepared
+                        .map_err(SimError::Zswap)
+                        .and_then(|p| self.move_page(vpage, dest, p));
+                    self.record_outcome(&mut sinks[b], vpage, dest, result.is_ok());
+                    match result {
+                        Ok(cost) => {
+                            busy[b] += cost.batched();
+                            serial_extra += cost.writeback;
+                            report.moved += 1;
+                            entry_moved[page.entry] = true;
+                            continue;
                         }
-                        Err(_) => report.rejected += 1,
+                        // Destination pool exhausted: overflow into the
+                        // next compressed tier down.
+                        Err(SimError::Tier(TierError::PoolExhausted)) => self
+                            .overflow_dest(dest)
+                            .map(|next| self.migrate_page(vpage, next)),
+                        Err(_) => None,
                     }
                 }
-                Disposition::Parallel { batch, job } => {
-                    let stale = self.pages[vpage as usize] != snap;
-                    match (&results[batch].0[job], stale) {
-                        // An earlier entry's pool-limit writeback evicted
-                        // this page to swap after the snapshot: the copy
-                        // phase-A made is an orphan. Roll it back and take
-                        // the serial path, which handles the swap source.
-                        // (`Faulted` and `Err` jobs left nothing behind.)
-                        (result, true) => {
-                            let orphan = match result {
-                                Ok(JobOut::Copied(m)) => Some(m.stored),
-                                Ok(JobOut::Stored(s)) => Some(*s),
-                                Ok(JobOut::Faulted) | Err(_) => None,
-                            };
-                            if let Some(orphan) = orphan {
-                                let Placement::Compressed(t) = dest else {
-                                    unreachable!("destination copies target compressed tiers")
-                                };
-                                self.zswap
-                                    .as_ref()
-                                    .expect("real fidelity")
-                                    .invalidate(self.zswap_ids[t], orphan)
-                                    .expect("orphaned copy is live");
-                            }
-                            match self.migrate_page(vpage, dest) {
-                                Ok(c) => {
-                                    if c > 0.0 {
-                                        report.moved += 1;
-                                        entry_moved[ei] = true;
-                                    }
-                                    tail_ns += c;
-                                }
-                                Err(_) => report.rejected += 1,
-                            }
-                        }
-                        (Ok(JobOut::Copied(out)), false) => {
-                            let out = *out;
-                            let Residency::Compressed {
-                                tier: from,
-                                comp_len,
-                                stored: Some(s),
-                            } = snap
-                            else {
-                                unreachable!("CtoC jobs come from stored compressed pages")
-                            };
-                            let Placement::Compressed(t) = dest else {
-                                unreachable!("CtoC jobs target compressed tiers")
-                            };
-                            let from = from as usize;
-                            let z = self.zswap.as_ref().expect("real fidelity");
-                            z.finish_migration_out(self.zswap_ids[from], s)
-                                .expect("source copy is live until phase B");
-                            let fs = &mut self.tier_stats[from];
-                            fs.pages -= 1;
-                            fs.comp_bytes -= comp_len as u64;
-                            let ts = &mut self.tier_stats[t];
-                            ts.pages += 1;
-                            ts.comp_bytes += out.stored.compressed_len as u64;
-                            ts.stores += 1;
-                            self.pages[vpage as usize] = Residency::Compressed {
-                                tier: t as u16,
-                                comp_len: out.stored.compressed_len as u32,
-                                stored: Some(out.stored),
-                            };
-                            self.wb_order[t].push_back(vpage);
-                            busy[batch] += out.cost_ns;
-                            serial_extra += self.enforce_pool_limit(t);
-                            report.moved += 1;
-                            entry_moved[ei] = true;
-                        }
-                        (Ok(JobOut::Stored(new)), false) => {
-                            let new = *new;
-                            let Placement::Compressed(t) = dest else {
-                                unreachable!("Store jobs target compressed tiers")
-                            };
-                            let out_cost = self.remove_from_current(vpage);
-                            let comp_len = new.compressed_len as u32;
-                            let st = &mut self.tier_stats[t];
-                            st.pages += 1;
-                            st.comp_bytes += comp_len as u64;
-                            st.stores += 1;
-                            self.pages[vpage as usize] = Residency::Compressed {
-                                tier: t as u16,
-                                comp_len,
-                                stored: Some(new),
-                            };
-                            self.wb_order[t].push_back(vpage);
-                            let tcfg = &self.cfg.compressed_tiers[t];
-                            busy[batch] += out_cost
-                                + tcfg.compress_latency_ns()
-                                + tcfg.media.default_spec().stream_ns(comp_len as u64);
-                            serial_extra += self.enforce_pool_limit(t);
-                            report.moved += 1;
-                            entry_moved[ei] = true;
-                        }
-                        (Ok(JobOut::Faulted), false) => {
-                            let Residency::Compressed {
-                                tier: from,
-                                comp_len,
-                                stored: Some(s),
-                            } = snap
-                            else {
-                                unreachable!("Fault jobs come from stored compressed pages")
-                            };
-                            let from = from as usize;
-                            let z = self.zswap.as_ref().expect("real fidelity");
-                            z.invalidate(self.zswap_ids[from], s)
-                                .expect("source page is live until phase B");
-                            let st = &mut self.tier_stats[from];
-                            st.pages -= 1;
-                            st.comp_bytes -= comp_len as u64;
-                            let tcfg = &self.cfg.compressed_tiers[from];
-                            let out_cost = tcfg.decompress_latency_ns()
-                                + tcfg.media.default_spec().stream_ns(comp_len as u64);
-                            let in_cost = self.place_byte(vpage, dest);
-                            busy[batch] += out_cost + in_cost;
-                            report.moved += 1;
-                            entry_moved[ei] = true;
-                        }
-                        (Err(ZswapError::Incompressible), false) => {
-                            if let Placement::Compressed(t) = dest {
-                                self.tier_stats[t].rejections += 1;
-                            }
-                            report.rejected += 1;
-                        }
-                        // Injected compression failure in phase A: the
-                        // source copy is intact (stores fail before any
-                        // source release), so the page just stays put.
-                        (Err(ZswapError::CompressFailed), false) => {
-                            self.fault_counters.bump(FaultSite::ZswapStore);
-                            report.rejected += 1;
-                        }
-                        // Destination pool exhausted in phase A: repair in
-                        // phase B with the serial waterfall path, which
-                        // overflows into the next compressed tier down.
-                        (Err(ZswapError::Pool(PoolError::OutOfMemory)), false)
-                            if self.faults.is_some() =>
-                        {
-                            self.fault_counters.bump(FaultSite::PoolAlloc);
-                            match self.overflow_dest(dest) {
-                                Some(next) => match self.migrate_page(vpage, next) {
-                                    Ok(c) => {
-                                        if c > 0.0 {
-                                            report.moved += 1;
-                                            entry_moved[ei] = true;
-                                        }
-                                        tail_ns += c;
-                                    }
-                                    Err(_) => report.rejected += 1,
-                                },
-                                None => report.rejected += 1,
-                            }
-                        }
-                        (Err(_), false) => report.rejected += 1,
-                    }
+                // Moved since phase 0: the serial path, uncomputed.
+                Some((b, _)) => {
+                    let result = self.migrate_page(vpage, dest);
+                    self.record_outcome(&mut sinks[b], vpage, dest, result.is_ok());
+                    Some(result)
                 }
+                None => Some(self.migrate_page(vpage, dest)),
+            };
+            match serial {
+                Some(Ok(c)) => {
+                    if c > 0.0 {
+                        report.moved += 1;
+                        entry_moved[page.entry] = true;
+                    }
+                    tail_ns += c;
+                }
+                Some(Err(_)) | None => report.rejected += 1,
             }
         }
 
-        // Deterministic reduction: the engine models one logical worker
-        // per destination batch, so the charged wall-clock is the slowest
-        // batch's busy time — invariant in the configured `workers`, which
-        // only changes how fast the *host* executes phase A.
+        // Deterministic reduction: one logical worker per destination, so
+        // the charged wall-clock is the slowest destination's busy time —
+        // invariant in `workers`, which only changes how fast the *host*
+        // runs phase A.
         let wall = busy.iter().fold(0.0f64, |a, &b| a.max(b));
         report.stall_ns = busy.iter().map(|&b| wall - b).sum();
         let engine_ns = wall + serial_extra;
@@ -1616,11 +1431,9 @@ impl TieredSystem {
         report.regions_moved = entry_moved.iter().filter(|&&m| m).count() as u64;
         report.faults = self.fault_counters.since(faults_before);
 
-        // Record the plan into the metrics registry. Per-batch sinks merge
-        // in batch-identity order (destination first-appearance order in
-        // the plan), so the registry — like the report — is bit-identical
-        // at any worker count; only span wall-clocks vary, and those stay
-        // out of the snapshot artifact by construction.
+        // Record the plan into the metrics registry, per destination in
+        // first-appearance order; only span wall-clocks depend on the host,
+        // and those stay out of the snapshot artifact.
         if let Some(obs) = self.obs.as_deref_mut() {
             obs.inc("migrate.plans");
             obs.add("migrate.pages_moved", report.moved);
@@ -1635,20 +1448,102 @@ impl TieredSystem {
             if !moves.is_empty() {
                 obs.observe("migrate.plan_cost_ns", report.cost_ns);
             }
-            for (b, (dest, jobs)) in batches.iter().enumerate() {
+            for ((dest, sink), busy) in dests.iter().zip(&sinks).zip(&busy) {
                 let scope = dest.to_string();
-                let sink = &results[b].1;
+                let jobs = sink.jobs as f64;
                 obs.span_raw(
                     "migrate.batch",
                     &scope,
                     sink.wall_ns,
-                    busy[b],
-                    &[("jobs", jobs.len() as f64)],
+                    *busy,
+                    &[("jobs", jobs)],
                 );
                 obs.merge_sink(&scope, sink);
             }
         }
         report
+    }
+
+    /// Whether a move from `snap` to `dest` is batched: a byte source into
+    /// a compressed tier, or a stored compressed source into another
+    /// compressed tier (not a same-filled marker) or into a byte tier (not
+    /// a same-filled page). Everything else is cheap bookkeeping or needs
+    /// the single swap device, and runs serially.
+    fn batchable(snap: Residency, dest: Placement) -> bool {
+        match (snap, dest) {
+            (
+                Residency::Compressed {
+                    stored: Some(s), ..
+                },
+                Placement::Compressed(_),
+            ) => !s.is_same_filled(),
+            (Residency::Dram | Residency::Byte(_), Placement::Compressed(_)) => true,
+            (
+                Residency::Compressed {
+                    stored: Some(_),
+                    comp_len,
+                    ..
+                },
+                Placement::Dram | Placement::ByteTier(_),
+            ) => comp_len > 0,
+            _ => false,
+        }
+    }
+
+    /// Phase A over one chunk of batched plan pages (indices into
+    /// `pages`): each page's pure work, split into contiguous slices over
+    /// up to `workers` scoped threads. Results come back in chunk order,
+    /// each with the host nanoseconds it took (trace only).
+    fn phase_a(
+        &self,
+        pages: &[PlanPage],
+        chunk: &[usize],
+        moves: &[PlannedMove],
+        workers: usize,
+    ) -> Vec<(ZswapResult<Prepared>, u64)> {
+        let z = self
+            .zswap
+            .as_ref()
+            .expect("batched pages imply Real fidelity");
+        let (ids, workload) = (&self.zswap_ids, self.workload.as_ref());
+        let run = |slice: &[usize]| -> Vec<(ZswapResult<Prepared>, u64)> {
+            let mut buf = vec![0u8; PAGE_SIZE];
+            slice
+                .iter()
+                .map(|&i| {
+                    let page = &pages[i];
+                    let timer = SpanTimer::new();
+                    let dest = moves[page.entry].dest;
+                    let prepared = prepare(z, ids, workload, page, dest, &mut buf);
+                    (prepared, timer.elapsed_ns())
+                })
+                .collect()
+        };
+        let mut slices = chunk.chunks(chunk.len().div_ceil(workers).max(1));
+        let first = slices.next().unwrap_or_default();
+        let run = &run;
+        std::thread::scope(|scope| {
+            let others: Vec<_> = slices.map(|s| scope.spawn(move || run(s))).collect();
+            let mut out = run(first);
+            for handle in others {
+                out.extend(handle.join().expect("phase-A worker panicked"));
+            }
+            out
+        })
+    }
+
+    /// Fold one batched page's outcome into its destination's sink: a
+    /// compressed copy with its length, a decompression toward a byte
+    /// tier, or a failure.
+    fn record_outcome(&self, sink: &mut WorkerSink, vpage: u64, dest: Placement, ok: bool) {
+        match (ok, dest, self.pages[vpage as usize]) {
+            (false, ..) => sink.record_failure(),
+            (true, Placement::Compressed(_), Residency::Compressed { comp_len, .. })
+            | (true, Placement::Compressed(_), Residency::Swapped { comp_len, .. }) => {
+                sink.record_store(u64::from(comp_len))
+            }
+            (true, ..) => sink.record_fault(),
+        }
     }
 
     /// Charge extra daemon time (profiling, solver) to the tax account.

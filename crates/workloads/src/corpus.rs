@@ -106,6 +106,28 @@ pub fn fill_nci_like(seed: u64, index: u64, buf: &mut [u8]) {
     }
 }
 
+/// Zipf weights of [`fill_dickens_like`]'s 64 words: word `w` weighs
+/// `64 - w`, and `ZIPF_CUMULATIVE[w]` is the total weight of words `0..=w`.
+const ZIPF_CUMULATIVE: [usize; 64] = {
+    let mut table = [0usize; 64];
+    let (mut w, mut total) = (0, 0);
+    while w < 64 {
+        total += 64 - w;
+        table[w] = total;
+        w += 1;
+    }
+    table
+};
+
+/// Total Zipf weight: draws range over `0..ZIPF_TOTAL`.
+const ZIPF_TOTAL: usize = ZIPF_CUMULATIVE[63];
+
+/// The word a Zipf draw `r < ZIPF_TOTAL` picks: the first whose
+/// cumulative weight exceeds `r`.
+fn zipf_word(r: usize) -> usize {
+    ZIPF_CUMULATIVE.partition_point(|&c| c <= r)
+}
+
 /// English-prose-like text (dickens analogue): Zipf-weighted word soup with
 /// sentence and paragraph structure.
 pub fn fill_dickens_like(seed: u64, index: u64, buf: &mut [u8]) {
@@ -123,16 +145,7 @@ pub fn fill_dickens_like(seed: u64, index: u64, buf: &mut [u8]) {
     let mut capitalize = true;
     while pos < buf.len() {
         // Zipf-ish pick: prefer low indices.
-        let r = rng.below(64 * 65 / 2);
-        let mut w = 0usize;
-        let mut acc = 64usize;
-        let mut weight = 64usize;
-        while acc <= r && weight > 1 {
-            weight -= 1;
-            acc += weight;
-            w += 1;
-        }
-        let word = WORDS[w.min(63)].as_bytes();
+        let word = WORDS[zipf_word(rng.below(ZIPF_TOTAL))].as_bytes();
         let n = word.len().min(buf.len() - pos);
         buf[pos..pos + n].copy_from_slice(&word[..n]);
         if capitalize && n > 0 {
@@ -259,5 +272,48 @@ mod tests {
                 assert_eq!(buf.len(), len);
             }
         }
+    }
+
+    /// The linear Zipf scan `fill_dickens_like` used before its lookup
+    /// table: the reference the table must agree with.
+    fn zipf_scan(r: usize) -> usize {
+        let mut w = 0usize;
+        let mut acc = 64usize;
+        let mut weight = 64usize;
+        while acc <= r && weight > 1 {
+            weight -= 1;
+            acc += weight;
+            w += 1;
+        }
+        w
+    }
+
+    #[test]
+    fn zipf_lookup_matches_the_linear_scan() {
+        for r in 0..ZIPF_TOTAL {
+            assert_eq!(zipf_word(r), zipf_scan(r), "r = {r}");
+        }
+    }
+
+    /// FNV-1a digest of every class's content over several seeds, pages
+    /// and buffer lengths, pinned to the generator's output: page content
+    /// feeds every compressed size, so it must never drift.
+    #[test]
+    fn fill_output_is_pinned() {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for seed in [0u64, 1, 42, 1234, u64::MAX] {
+            for idx in [0u64, 1, 7, 4095, 1 << 20, 123_456_789] {
+                for class in PageClass::ALL {
+                    for len in [4096usize, 1000, 37] {
+                        let mut buf = vec![0u8; len];
+                        class.fill(seed, idx, &mut buf);
+                        for b in buf {
+                            hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(hash, 0x7fb9_2f48_7f36_190d);
     }
 }

@@ -204,8 +204,8 @@ impl PoolStats {
 
 /// A compressed-object pool.
 ///
-/// `Sync` lets a pool sit behind its tier's `RwLock` shard and be reached
-/// from the parallel migration engine's worker threads.
+/// `Sync` lets the migration engine's phase-A threads read pooled objects
+/// ([`ZPool::load`]) through a shared borrow.
 pub trait ZPool: Send + Sync {
     /// Which pool manager this is.
     fn kind(&self) -> PoolKind;

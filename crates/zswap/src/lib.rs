@@ -10,7 +10,7 @@
 //!   NVMM or CXL, not just wherever the kernel allocator happens to place
 //!   them.
 //! * **Multiple active tiers** — unlike stock Linux (one active pool),
-//!   any number of tiers coexist and accept stores concurrently; the caller
+//!   any number of tiers coexist and accept stores; the caller
 //!   addresses tiers explicitly (the kernel patch threads a `tier_id`
 //!   through `madvise()` and `struct page`).
 //! * **Inter-tier migration** — pages move between compressed tiers either
@@ -49,10 +49,9 @@ pub mod writeback;
 pub use config::{
     algo_compress_ns, algo_decompress_ns, algo_nominal_ratio, media_factor, TierConfig,
 };
-pub use tier::{CompressedTier, StoredPage, TierId, TierStats};
+pub use tier::{Compressed, CompressedTier, StoredPage, TierId, TierStats};
 pub use writeback::{SwapDevice, SwapSlot, WritebackEvent, WritebackQueue};
 
-use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::sync::Arc;
 use ts_compress::CodecError;
 use ts_mem::{Machine, MediaKind};
@@ -110,15 +109,14 @@ pub struct MigrationOutcome {
 
 /// The multi-tier compressed memory subsystem.
 ///
-/// Each tier sits behind its own [`RwLock`] shard, so stores, loads and
-/// migrations touching *different* tiers proceed concurrently from `&self`
-/// — this is what lets the parallel migration engine run one worker per
-/// destination tier. Operations needing two tiers (migration) always take
-/// the locks in ascending tier-id order, so concurrent cross-tier
-/// migrations cannot deadlock.
+/// Mutations take `&mut self`; the pure halves of the page-copy path
+/// ([`CompressedTier::compress`], [`CompressedTier::decompress`],
+/// [`ZswapSubsystem::recompress`]) take `&self`, so a migration engine can
+/// run them on many threads against a shared borrow and then apply the
+/// results serially.
 pub struct ZswapSubsystem {
     machine: Arc<Machine>,
-    tiers: Vec<RwLock<CompressedTier>>,
+    tiers: Vec<CompressedTier>,
 }
 
 impl ZswapSubsystem {
@@ -138,49 +136,42 @@ impl ZswapSubsystem {
     pub fn create_tier(&mut self, config: TierConfig) -> ZswapResult<TierId> {
         let id = TierId(self.tiers.len() as u32);
         let tier = CompressedTier::new(id, config, self.machine.clone())?;
-        self.tiers.push(RwLock::new(tier));
+        self.tiers.push(tier);
         Ok(id)
     }
 
-    /// All active tier shards (lock a shard to inspect its tier).
-    pub fn tiers(&self) -> &[RwLock<CompressedTier>] {
+    /// All active tiers, in tier-id order.
+    pub fn tiers(&self) -> &[CompressedTier] {
         &self.tiers
-    }
-
-    /// Number of active tiers.
-    pub fn tier_count(&self) -> usize {
-        self.tiers.len()
     }
 
     /// Install a deterministic fault-injection plan on every tier (and
     /// each tier's pool). See [`CompressedTier::set_fault_plan`].
-    pub fn set_fault_plan(&self, plan: &Arc<ts_faults::FaultPlan>) {
-        for shard in &self.tiers {
-            shard.write().set_fault_plan(plan.clone());
+    pub fn set_fault_plan(&mut self, plan: &Arc<ts_faults::FaultPlan>) {
+        for tier in &mut self.tiers {
+            tier.set_fault_plan(plan.clone());
         }
     }
 
-    /// Read access to a tier by id.
+    /// A tier by id.
     ///
     /// # Errors
     ///
     /// [`ZswapError::NoSuchTier`] if out of range.
-    pub fn tier(&self, id: TierId) -> ZswapResult<RwLockReadGuard<'_, CompressedTier>> {
+    pub fn tier(&self, id: TierId) -> ZswapResult<&CompressedTier> {
         self.tiers
             .get(id.0 as usize)
-            .map(RwLock::read)
             .ok_or(ZswapError::NoSuchTier(id))
     }
 
-    /// Write access to a tier by id (one shard; does not block other tiers).
+    /// A tier by id, mutably.
     ///
     /// # Errors
     ///
     /// [`ZswapError::NoSuchTier`] if out of range.
-    pub fn tier_write(&self, id: TierId) -> ZswapResult<RwLockWriteGuard<'_, CompressedTier>> {
+    pub fn tier_mut(&mut self, id: TierId) -> ZswapResult<&mut CompressedTier> {
         self.tiers
-            .get(id.0 as usize)
-            .map(RwLock::write)
+            .get_mut(id.0 as usize)
             .ok_or(ZswapError::NoSuchTier(id))
     }
 
@@ -189,8 +180,8 @@ impl ZswapSubsystem {
     /// # Errors
     ///
     /// See [`CompressedTier::store`].
-    pub fn store(&self, id: TierId, page: &[u8]) -> ZswapResult<StoredPage> {
-        self.tier_write(id)?.store(page)
+    pub fn store(&mut self, id: TierId, page: &[u8]) -> ZswapResult<StoredPage> {
+        self.tier_mut(id)?.store(page)
     }
 
     /// Fault a page out of tier `id` (decompress + invalidate).
@@ -198,8 +189,8 @@ impl ZswapSubsystem {
     /// # Errors
     ///
     /// See [`CompressedTier::load`].
-    pub fn load(&self, id: TierId, stored: StoredPage) -> ZswapResult<Vec<u8>> {
-        self.tier_write(id)?.load(stored)
+    pub fn load(&mut self, id: TierId, stored: StoredPage) -> ZswapResult<Vec<u8>> {
+        self.tier_mut(id)?.load(stored)
     }
 
     /// Invalidate a stored page without decompressing.
@@ -207,8 +198,8 @@ impl ZswapSubsystem {
     /// # Errors
     ///
     /// See [`CompressedTier::invalidate`].
-    pub fn invalidate(&self, id: TierId, stored: StoredPage) -> ZswapResult<()> {
-        self.tier_write(id)?.invalidate(stored)
+    pub fn invalidate(&mut self, id: TierId, stored: StoredPage) -> ZswapResult<()> {
+        self.tier_mut(id)?.invalidate(stored)
     }
 
     /// Migrate a page between two compressed tiers.
@@ -225,30 +216,13 @@ impl ZswapSubsystem {
     /// occur on the fast path but can on the recompress path (the caller
     /// should then place the page back uncompressed). On error the source
     /// page is left intact.
-    pub fn migrate(&self, from: TierId, to: TierId, stored: StoredPage) -> ZswapResult<StoredPage> {
-        Ok(self.migrate_with_cost(from, to, stored)?.stored)
-    }
-
-    /// Lock `from` and `to` for writing, always acquiring in ascending
-    /// tier-id order so concurrent migrations never deadlock.
-    fn lock_pair(
-        &self,
+    pub fn migrate(
+        &mut self,
         from: TierId,
         to: TierId,
-    ) -> ZswapResult<(
-        RwLockWriteGuard<'_, CompressedTier>,
-        RwLockWriteGuard<'_, CompressedTier>,
-    )> {
-        debug_assert_ne!(from, to);
-        if from.0 < to.0 {
-            let f = self.tier_write(from)?;
-            let t = self.tier_write(to)?;
-            Ok((f, t))
-        } else {
-            let t = self.tier_write(to)?;
-            let f = self.tier_write(from)?;
-            Ok((f, t))
-        }
+        stored: StoredPage,
+    ) -> ZswapResult<StoredPage> {
+        Ok(self.migrate_with_cost(from, to, stored)?.stored)
     }
 
     /// Like [`ZswapSubsystem::migrate`] but also reports path and cost.
@@ -257,10 +231,46 @@ impl ZswapSubsystem {
     ///
     /// See [`ZswapSubsystem::migrate`].
     pub fn migrate_with_cost(
+        &mut self,
+        from: TierId,
+        to: TierId,
+        stored: StoredPage,
+    ) -> ZswapResult<MigrationOutcome> {
+        self.migrate_prepared(from, to, stored, None)
+    }
+
+    /// The pure half of a recompressing migration: decompress `stored`
+    /// from tier `from` and compress it with tier `to`'s codec.
+    ///
+    /// # Errors
+    ///
+    /// See [`CompressedTier::decompress`] and [`ZswapSubsystem::tier`].
+    pub fn recompress(
         &self,
         from: TierId,
         to: TierId,
         stored: StoredPage,
+    ) -> ZswapResult<Compressed> {
+        let to = self.tier(to)?;
+        let page = self.tier(from)?.decompress(stored)?;
+        Ok(to.compress(&page))
+    }
+
+    /// [`ZswapSubsystem::migrate_with_cost`] with the recompress path's
+    /// pure half already done: `recompressed` is
+    /// [`ZswapSubsystem::recompress`]'s output for this page, or `None` to
+    /// compute it here. Ignored on the same-algorithm fast path, which
+    /// copies compressed bytes.
+    ///
+    /// # Errors
+    ///
+    /// See [`ZswapSubsystem::migrate`].
+    pub fn migrate_prepared(
+        &mut self,
+        from: TierId,
+        to: TierId,
+        stored: StoredPage,
+        recompressed: Option<Compressed>,
     ) -> ZswapResult<MigrationOutcome> {
         if from == to {
             return Ok(MigrationOutcome {
@@ -269,201 +279,77 @@ impl ZswapSubsystem {
                 cost_ns: 0.0,
             });
         }
-        let (mut f, mut t) = self.lock_pair(from, to)?;
+        let (f, t) = (self.tier(from)?, self.tier(to)?);
         // Same-filled markers migrate for free: pure bookkeeping.
         if stored.is_same_filled() {
-            f.release_same_filled();
-            let new = t.accept_same_filled(stored);
+            self.tier_mut(from)?.release_same_filled();
+            let new = self.tier_mut(to)?.accept_same_filled(stored);
             return Ok(MigrationOutcome {
                 stored: new,
                 fast_path: true,
                 cost_ns: 100.0,
             });
         }
-        let out = Self::copy_between(&f, &mut t, stored)?;
-        Self::release_source(&mut f, stored)?;
-        Ok(out)
-    }
-
-    /// Copy `stored` from tier `f` into tier `t` without touching the
-    /// source copy. Shared by [`ZswapSubsystem::migrate_with_cost`] (which
-    /// then invalidates the source immediately) and
-    /// [`ZswapSubsystem::migrate_copy`] (which defers invalidation).
-    ///
-    /// The reported cost covers the *whole* migration — both the copy-in
-    /// and the eventual source-side release — so the deferred
-    /// [`ZswapSubsystem::finish_migration_out`] charges nothing extra.
-    fn copy_between(
-        f: &CompressedTier,
-        t: &mut CompressedTier,
-        stored: StoredPage,
-    ) -> ZswapResult<MigrationOutcome> {
-        if f.config().algorithm == t.config().algorithm {
-            // Fast path: move compressed bytes directly.
+        let out = if f.config().algorithm == t.config().algorithm {
+            // Fast path: move compressed bytes directly. Stream out +
+            // stream in + pool bookkeeping on both sides.
             let compressed = f.peek_compressed(stored)?;
-            let new = t.store_precompressed(&compressed, stored.original_len)?;
-            // Stream out + stream in + pool bookkeeping on both sides.
-            let cost_ns = f
-                .config()
-                .media
-                .default_spec()
-                .stream_ns(compressed.len() as u64)
-                + t.config()
-                    .media
-                    .default_spec()
-                    .stream_ns(compressed.len() as u64)
+            let len = compressed.len() as u64;
+            let cost_ns = f.config().media.default_spec().stream_ns(len)
+                + t.config().media.default_spec().stream_ns(len)
                 + f.config().pool.mgmt_overhead_ns()
                 + t.config().pool.mgmt_overhead_ns();
-            Ok(MigrationOutcome {
+            let new = self
+                .tier_mut(to)?
+                .store_precompressed(&compressed, stored.original_len)?;
+            MigrationOutcome {
                 stored: new,
                 fast_path: true,
                 cost_ns,
-            })
+            }
         } else {
             // Naive path: decompress then recompress (paper's default).
-            let compressed = f.peek_compressed(stored)?;
-            let mut page = Vec::with_capacity(stored.original_len);
-            f.config()
-                .algorithm
-                .codec()
-                .decompress(&compressed, &mut page)
-                .map_err(ZswapError::Codec)?;
-            let new = t.store(&page)?;
+            let fault_ns = f.fault_latency_ns(stored.compressed_len);
+            let compressed = match recompressed {
+                Some(c) => c,
+                None => self.recompress(from, to, stored)?,
+            };
+            let t = self.tier_mut(to)?;
+            let new = t.insert(&compressed, stored.original_len)?;
             t.bump_migrations_in();
-            let cost_ns =
-                f.fault_latency_ns(stored.compressed_len) + t.store_latency_ns(new.compressed_len);
-            Ok(MigrationOutcome {
+            MigrationOutcome {
                 stored: new,
                 fast_path: false,
-                cost_ns,
-            })
-        }
-    }
-
-    /// Drop the source copy after a successful migration copy.
-    fn release_source(f: &mut CompressedTier, stored: StoredPage) -> ZswapResult<()> {
+                cost_ns: fault_ns + t.store_latency_ns(new.compressed_len),
+            }
+        };
+        let f = self.tier_mut(from)?;
         f.invalidate(stored)?;
         f.note_migration_out();
-        Ok(())
-    }
-
-    /// Copy phase of a deferred two-phase migration: store the page into
-    /// `to` while leaving `from`'s copy intact. The caller must later call
-    /// [`ZswapSubsystem::finish_migration_out`] (or
-    /// [`ZswapSubsystem::invalidate`] on rollback) exactly once for the
-    /// source copy.
-    ///
-    /// Takes only a *read* lock on the source tier, so parallel migration
-    /// workers whose batches pull from the same source tier can copy
-    /// concurrently; the destination tier is write-locked. Locks are
-    /// acquired in ascending tier-id order, so concurrent cross-tier
-    /// copies cannot deadlock against each other or against
-    /// [`ZswapSubsystem::migrate`].
-    ///
-    /// Same-filled markers are not supported here (they are pure
-    /// bookkeeping with no copy phase); route them through
-    /// [`ZswapSubsystem::migrate_with_cost`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ZswapSubsystem::migrate`].
-    pub fn migrate_copy(
-        &self,
-        from: TierId,
-        to: TierId,
-        stored: StoredPage,
-    ) -> ZswapResult<MigrationOutcome> {
-        debug_assert_ne!(from, to);
-        debug_assert!(
-            !stored.is_same_filled(),
-            "same-filled pages migrate via migrate_with_cost"
-        );
-        // Mixed read/write acquisition, still in ascending tier-id order.
-        let (fg, mut tg);
-        if from.0 < to.0 {
-            fg = self.tier(from)?;
-            tg = self.tier_write(to)?;
-        } else {
-            tg = self.tier_write(to)?;
-            fg = self.tier(from)?;
-        }
-        Self::copy_between(&fg, &mut tg, stored)
-    }
-
-    /// Completion phase of a deferred two-phase migration: invalidate the
-    /// source copy left behind by [`ZswapSubsystem::migrate_copy`] and
-    /// record the migration-out in the source tier's stats. Charges no
-    /// additional cost — [`ZswapSubsystem::migrate_copy`] already accounted
-    /// for the full migration.
-    ///
-    /// # Errors
-    ///
-    /// See [`CompressedTier::invalidate`].
-    pub fn finish_migration_out(&self, from: TierId, stored: StoredPage) -> ZswapResult<()> {
-        let mut f = self.tier_write(from)?;
-        Self::release_source(&mut f, stored)
-    }
-
-    /// Decompress a stored page *without* invalidating it — the read-only
-    /// copy-out used by the parallel engine when faulting a compressed page
-    /// toward DRAM or a byte tier (the source entry is invalidated later,
-    /// serially). Unlike [`ZswapSubsystem::load`], this takes only a read
-    /// lock and does not touch fault statistics or the pool.
-    ///
-    /// # Errors
-    ///
-    /// See [`CompressedTier::load`].
-    pub fn fault_copy(&self, id: TierId, stored: StoredPage) -> ZswapResult<Vec<u8>> {
-        let t = self.tier(id)?;
-        if let Some(byte) = stored.same_filled {
-            return Ok(vec![byte; stored.original_len]);
-        }
-        let compressed = t.peek_compressed(stored)?;
-        let mut page = Vec::with_capacity(stored.original_len);
-        t.config()
-            .algorithm
-            .codec()
-            .decompress(&compressed, &mut page)
-            .map_err(ZswapError::Codec)?;
-        Ok(page)
-    }
-
-    /// Sum of TCO attributable to all tiers.
-    pub fn total_tco_cost(&self) -> f64 {
-        self.tiers.iter().map(|t| t.read().tco_cost()).sum()
+        Ok(out)
     }
 
     /// Total pages stored across all tiers.
     pub fn total_pages(&self) -> u64 {
-        self.tiers.iter().map(|t| t.read().stats().pages).sum()
+        self.tiers.iter().map(|t| t.stats().pages).sum()
     }
 
     /// One observability row per tier, in tier-id order: the tier's own
-    /// statistics plus its pool's. Taking all rows under one pass gives
-    /// deterministic ordering for metrics snapshots (ts-obs); each tier is
-    /// read-locked only briefly and independently.
+    /// statistics plus its pool's (deterministic ordering for ts-obs
+    /// metrics snapshots).
     pub fn obs_snapshot(&self) -> Vec<(TierStats, ts_zpool::PoolStats)> {
         self.tiers
             .iter()
-            .map(|t| {
-                let g = t.read();
-                (g.stats(), g.pool_stats())
-            })
+            .map(|t| (t.stats(), t.pool_stats()))
             .collect()
-    }
-
-    /// The machine this subsystem runs on.
-    pub fn machine(&self) -> &Arc<Machine> {
-        &self.machine
     }
 }
 
 impl std::fmt::Debug for ZswapSubsystem {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let tiers: Vec<_> = self.tiers.iter().map(|t| t.read()).collect();
         let mut dbg = f.debug_struct("ZswapSubsystem");
-        for (i, t) in tiers.iter().enumerate() {
-            dbg.field(&format!("tier{i}"), &**t);
+        for (i, t) in self.tiers.iter().enumerate() {
+            dbg.field(&format!("tier{i}"), t);
         }
         dbg.finish()
     }
@@ -675,12 +561,130 @@ mod tests {
 
     #[test]
     fn unknown_tier_errors() {
-        let z = ZswapSubsystem::new(machine());
+        let mut z = ZswapSubsystem::new(machine());
         let bogus = TierId(9);
         assert!(matches!(
             z.store(bogus, &page(0)),
             Err(ZswapError::NoSuchTier(_))
         ));
+    }
+}
+
+#[cfg(test)]
+mod corruption_tests {
+    use super::*;
+    use ts_compress::Algorithm;
+    use ts_zpool::PoolKind;
+
+    /// A text-like page: words from a small vocabulary, so every codec
+    /// finds both literals and matches.
+    fn text_page() -> Vec<u8> {
+        const WORDS: [&str; 8] = [
+            "tier ", "page ", "zswap ", "pool ", "cold ", "hot ", "the ", "of ",
+        ];
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut p = Vec::with_capacity(4096);
+        while p.len() < 4096 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            p.extend_from_slice(WORDS[(x % 8) as usize].as_bytes());
+        }
+        p.truncate(4096);
+        p
+    }
+
+    /// A deterministic corruption of `valid` that `algo`'s decoder accepts
+    /// but decodes to a length other than one page.
+    fn overlong_stream(algo: Algorithm, valid: &[u8]) -> Option<Vec<u8>> {
+        let codec = algo.codec();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..20_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let mut bad = valid.to_vec();
+            let at = (x >> 8) as usize % bad.len();
+            bad[at] ^= (x as u8) | 1;
+            let mut out = Vec::new();
+            if codec.decompress(&bad, &mut out).is_ok() && out.len() != 4096 {
+                return Some(bad);
+            }
+        }
+        None
+    }
+
+    /// Five decoders accept some corrupt streams and emit the wrong
+    /// number of bytes. A pool object corrupted that way must fail to
+    /// load with a codec error — no panic, and the page stays stored.
+    #[test]
+    fn wrong_decoded_length_is_a_codec_error() {
+        let m = Arc::new(Machine::builder().node(MediaKind::Dram, 16 << 20).build());
+        let mut z = ZswapSubsystem::new(m);
+        for algo in [
+            Algorithm::Lz4,
+            Algorithm::Lz4hc,
+            Algorithm::Lzo,
+            Algorithm::LzoRle,
+            Algorithm::Sw842,
+        ] {
+            let page = text_page();
+            let mut valid = Vec::new();
+            algo.codec().compress(&page, &mut valid).unwrap();
+            let bad = overlong_stream(algo, &valid)
+                .unwrap_or_else(|| panic!("{algo:?}: no accepted corrupt stream found"));
+            let id = z
+                .create_tier(TierConfig::new(algo, PoolKind::Zsmalloc, MediaKind::Dram))
+                .unwrap();
+            let stored = z
+                .tier_mut(id)
+                .unwrap()
+                .store_precompressed(&bad, 4096)
+                .unwrap();
+            assert!(matches!(
+                z.tier(id).unwrap().decompress(stored),
+                Err(ZswapError::Codec(_))
+            ));
+            assert!(
+                matches!(z.load(id, stored), Err(ZswapError::Codec(_))),
+                "{algo:?}: corrupt object loaded"
+            );
+            let st = z.tier(id).unwrap().stats();
+            assert_eq!(
+                (st.pages, st.faults),
+                (1, 0),
+                "{algo:?}: failed load changed stats"
+            );
+            z.invalidate(id, stored).unwrap();
+        }
+    }
+
+    /// `store` is `insert(compress(..))`, and `compress` touches nothing.
+    #[test]
+    fn store_is_insert_of_compress() {
+        let mut z = ZswapSubsystem::new(machine());
+        let a = z.create_tier(TierConfig::ct1()).unwrap();
+        let b = z.create_tier(TierConfig::ct1()).unwrap();
+        for page in [text_page(), vec![9u8; 4096]] {
+            let before = z.tier(b).unwrap().stats();
+            let compressed = z.tier(b).unwrap().compress(&page);
+            assert_eq!(z.tier(b).unwrap().stats(), before);
+            let via_split = z
+                .tier_mut(b)
+                .unwrap()
+                .insert(&compressed, page.len())
+                .unwrap();
+            let via_store = z.store(a, &page).unwrap();
+            assert_eq!(via_split.compressed_len, via_store.compressed_len);
+            assert_eq!(via_split.same_filled, via_store.same_filled);
+            assert_eq!(z.load(b, via_split).unwrap(), page);
+            assert_eq!(z.load(a, via_store).unwrap(), page);
+        }
+        assert_eq!(z.tier(a).unwrap().stats(), z.tier(b).unwrap().stats());
+    }
+
+    fn machine() -> Arc<Machine> {
+        Arc::new(Machine::builder().node(MediaKind::Dram, 16 << 20).build())
     }
 }
 

@@ -68,6 +68,20 @@ fn same_filled_value(page: &[u8]) -> Option<u8> {
     page.iter().all(|&b| b == first).then_some(first)
 }
 
+/// Output of [`CompressedTier::compress`]: what a store would place in
+/// the pool, computed without touching the tier.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Compressed {
+    /// Every byte of the page equals this value; stored as a marker.
+    SameFilled(u8),
+    /// The codec's output.
+    Bytes(Vec<u8>),
+    /// The page did not shrink under the codec.
+    Incompressible,
+    /// The codec failed for another reason.
+    Failed(ts_compress::CodecError),
+}
+
 /// One active compressed tier.
 pub struct CompressedTier {
     id: TierId,
@@ -109,7 +123,7 @@ impl CompressedTier {
 
     /// Install a deterministic fault-injection plan on this tier and its
     /// pool. Store decisions are keyed by the tier/pool store counters,
-    /// which are single-writer under the parallel migration engine, so a
+    /// which only the serial [`CompressedTier::insert`] path advances, so a
     /// fixed seed gives the same faults at any worker count.
     pub fn set_fault_plan(&mut self, plan: Arc<ts_faults::FaultPlan>) {
         // Distinct per-tier salts keep pools drawing independently.
@@ -143,55 +157,114 @@ impl CompressedTier {
         self.pool.stats()
     }
 
-    /// Compress and store a page.
+    /// Compress and store a page: [`CompressedTier::insert`] of
+    /// [`CompressedTier::compress`].
     ///
     /// # Errors
     ///
-    /// [`ZswapError::Incompressible`] if the page does not shrink (zswap's
-    /// rejection rule — the caller must keep the page uncompressed);
-    /// [`ZswapError::Pool`] on pool failures (e.g. backing node exhausted).
+    /// See [`CompressedTier::insert`].
     pub fn store(&mut self, page: &[u8]) -> ZswapResult<StoredPage> {
+        let compressed = self.compress(page);
+        self.insert(&compressed, page.len())
+    }
+
+    /// The pure half of a store: same-filled detection, then this tier's
+    /// codec. Touches no statistics, pool or fault state, so any number of
+    /// threads may compress for one tier at once.
+    pub fn compress(&self, page: &[u8]) -> Compressed {
         debug_assert!(page.len() <= PAGE_SIZE);
         // Same-filled fast path (kernel zswap): no compression, no pool.
         if let Some(v) = same_filled_value(page) {
+            return Compressed::SameFilled(v);
+        }
+        let mut buf = Vec::with_capacity(page.len());
+        match self.codec.compress(page, &mut buf) {
+            Ok(_) => Compressed::Bytes(buf),
+            Err(ts_compress::CodecError::Incompressible { .. }) => Compressed::Incompressible,
+            Err(e) => Compressed::Failed(e),
+        }
+    }
+
+    /// The serial half of a store: draw the injected compression fault,
+    /// count a rejection, or place the bytes in the pool, in that order.
+    /// `original_len` is the length of the page `compressed` came from.
+    ///
+    /// # Errors
+    ///
+    /// [`ZswapError::CompressFailed`] on an injected fault;
+    /// [`ZswapError::Incompressible`] if the page did not shrink (zswap's
+    /// rejection rule — the caller must keep the page uncompressed);
+    /// [`ZswapError::Codec`] if the codec failed; [`ZswapError::Pool`] on
+    /// pool failures (e.g. backing node exhausted).
+    pub fn insert(
+        &mut self,
+        compressed: &Compressed,
+        original_len: usize,
+    ) -> ZswapResult<StoredPage> {
+        if let &Compressed::SameFilled(v) = compressed {
             self.stats.pages += 1;
             self.stats.stores += 1;
             self.stats.same_filled += 1;
             return Ok(StoredPage {
                 handle: Handle(u64::MAX),
                 compressed_len: 0,
-                original_len: page.len(),
+                original_len,
                 same_filled: Some(v),
             });
         }
         if let Some(plan) = &self.faults {
-            // Keyed by this tier's store count (single-writer in phase A):
-            // deterministic for a fixed seed at any worker count.
+            // Keyed by this tier's store count, which only this serial
+            // path advances: deterministic for a fixed seed.
             let key = (u64::from(self.id.0) << 40) ^ self.stats.stores;
             if plan.trips(ts_faults::FaultSite::ZswapStore, key) {
                 self.stats.compress_failures += 1;
                 return Err(ZswapError::CompressFailed);
             }
         }
-        let mut buf = Vec::with_capacity(page.len());
-        match self.codec.compress(page, &mut buf) {
-            Ok(_) => {}
-            Err(ts_compress::CodecError::Incompressible { .. }) => {
+        let buf = match compressed {
+            Compressed::Bytes(buf) => buf,
+            Compressed::Incompressible => {
                 self.stats.rejections += 1;
                 return Err(ZswapError::Incompressible);
             }
-            Err(e) => return Err(ZswapError::Codec(e)),
-        }
-        let handle = self.pool.store(&buf).map_err(ZswapError::Pool)?;
+            Compressed::Failed(e) => return Err(ZswapError::Codec(e.clone())),
+            Compressed::SameFilled(_) => unreachable!("handled above"),
+        };
+        let handle = self.pool.store(buf).map_err(ZswapError::Pool)?;
         self.stats.pages += 1;
         self.stats.compressed_bytes += buf.len() as u64;
         self.stats.stores += 1;
         Ok(StoredPage {
             handle,
             compressed_len: buf.len(),
-            original_len: page.len(),
+            original_len,
             same_filled: None,
         })
+    }
+
+    /// Decompress the page behind `stored` without invalidating it or
+    /// touching any statistics (the pure half of a fault).
+    ///
+    /// # Errors
+    ///
+    /// [`ZswapError::Pool`] for stale handles; [`ZswapError::Codec`] if the
+    /// stored bytes fail to decompress or decode to any length other than
+    /// `stored.original_len` (corruption).
+    pub fn decompress(&self, stored: StoredPage) -> ZswapResult<Vec<u8>> {
+        if let Some(v) = stored.same_filled {
+            return Ok(vec![v; stored.original_len]);
+        }
+        let compressed = self.peek_compressed(stored)?;
+        let mut page = Vec::with_capacity(stored.original_len);
+        self.codec
+            .decompress(&compressed, &mut page)
+            .map_err(ZswapError::Codec)?;
+        if page.len() != stored.original_len {
+            return Err(ZswapError::Codec(ts_compress::CodecError::Corrupt(
+                "decoded length differs from the stored page",
+            )));
+        }
+        Ok(page)
     }
 
     /// Fault path: decompress the page behind `stored` and invalidate it in
@@ -199,25 +272,14 @@ impl CompressedTier {
     ///
     /// # Errors
     ///
-    /// [`ZswapError::Pool`] for stale handles, [`ZswapError::Codec`] if the
-    /// stored bytes fail to decompress (corruption).
+    /// See [`CompressedTier::decompress`]; on error the page stays stored.
     pub fn load(&mut self, stored: StoredPage) -> ZswapResult<Vec<u8>> {
-        if let Some(v) = stored.same_filled {
-            self.stats.pages -= 1;
-            self.stats.faults += 1;
-            return Ok(vec![v; stored.original_len]);
+        let page = self.decompress(stored)?;
+        if !stored.is_same_filled() {
+            self.pool.remove(stored.handle).map_err(ZswapError::Pool)?;
+            self.stats.compressed_bytes -= stored.compressed_len as u64;
         }
-        let mut compressed = Vec::with_capacity(stored.compressed_len);
-        self.pool
-            .load(stored.handle, &mut compressed)
-            .map_err(ZswapError::Pool)?;
-        let mut page = Vec::with_capacity(stored.original_len);
-        self.codec
-            .decompress(&compressed, &mut page)
-            .map_err(ZswapError::Codec)?;
-        self.pool.remove(stored.handle).map_err(ZswapError::Pool)?;
         self.stats.pages -= 1;
-        self.stats.compressed_bytes -= stored.compressed_len as u64;
         self.stats.faults += 1;
         Ok(page)
     }

@@ -2,7 +2,8 @@
 //! through the zswap subsystem directly — the library-level API below the
 //! simulator.
 //!
-//! Demonstrates: multiple simultaneously active tiers, incompressible-page
+//! Demonstrates: multiple simultaneously active tiers, the two halves of a
+//! store (a pure `compress` and a serial `insert`), incompressible-page
 //! rejection, per-tier statistics, and the same-algorithm migration fast
 //! path (§7.1).
 //!
@@ -47,19 +48,28 @@ fn main() {
         )
         .expect("nvmm node present");
 
-    // Store 1000 pages of mixed content into the fast tier.
+    // Store 1000 pages of mixed content into the fast tier. `compress`
+    // only reads the tier (it could run on many threads); `insert` then
+    // applies each result serially, the way a migration engine does.
     let mut buf = vec![0u8; 4096];
+    let tier = zswap.tier(fast).expect("tier exists");
+    let compressed: Vec<_> = (0..1000u64)
+        .map(|i| {
+            let class = match i % 10 {
+                0..=4 => PageClass::Text,
+                5..=7 => PageClass::Binary,
+                8 => PageClass::HighlyCompressible,
+                _ => PageClass::Incompressible,
+            };
+            class.fill(7, i, &mut buf);
+            tier.compress(&buf)
+        })
+        .collect();
     let mut stored = Vec::new();
     let mut rejected = 0u32;
-    for i in 0..1000u64 {
-        let class = match i % 10 {
-            0..=4 => PageClass::Text,
-            5..=7 => PageClass::Binary,
-            8 => PageClass::HighlyCompressible,
-            _ => PageClass::Incompressible,
-        };
-        class.fill(7, i, &mut buf);
-        match zswap.store(fast, &buf) {
+    let tier = zswap.tier_mut(fast).expect("tier exists");
+    for c in &compressed {
+        match tier.insert(c, buf.len()) {
             Ok(sp) => stored.push(sp),
             Err(ZswapError::Incompressible) => rejected += 1,
             Err(e) => panic!("unexpected: {e}"),
@@ -100,8 +110,7 @@ fn main() {
 
     // Per-tier accounting.
     println!("\ntier    pages  comp_MB  pool_MB  eff_ratio  tco($)");
-    for shard in zswap.tiers() {
-        let t = shard.read();
+    for t in zswap.tiers() {
         let st = t.stats();
         let ps = t.pool_stats();
         println!(

@@ -1,7 +1,8 @@
-//! The parallel migration engine's determinism guarantee: with a fixed
-//! seed, a daemon run produces a bit-identical [`RunReport`] for *any*
-//! `migration_workers` setting. The engine merges phase-A results by batch
-//! identity (never completion order) and charges closed-form costs, so the
+//! The migration engine's determinism guarantee: with a fixed seed, a
+//! daemon run produces a bit-identical [`RunReport`] for *any*
+//! `migration_workers` setting. Worker threads only compute the pure part
+//! of each page move (phase A); every change to the system is applied
+//! serially in plan order (phase B) and charged closed-form costs, so the
 //! worker count may only change how fast the host executes a window plan —
 //! never what the plan does to the system.
 
@@ -185,8 +186,8 @@ fn analytical_identical_across_worker_counts_every_workload() {
 #[test]
 fn real_fidelity_identical_across_worker_counts() {
     // Real codecs and real pools: phase A does real compression work on
-    // the worker threads, and the handles it produces feed phase B. The
-    // aggressive knob guarantees multi-destination plans (several batches).
+    // the worker threads, and phase B applies its output. The aggressive
+    // knob guarantees multi-destination plans (several batches).
     assert_workers_invariant(
         Fidelity::Real,
         &|| Box::new(AnalyticalModel::new(0.05)),
@@ -201,7 +202,7 @@ fn fault_injection_identical_across_worker_counts() {
     // still give bit-identical reports *and fault counters* at any
     // worker count: sim-level draws happen on serial paths keyed by a
     // nonce, and zswap/zpool draws are keyed by per-tier store counters
-    // that are single-writer in phase A.
+    // that only the serial phase B advances.
     let plan = FaultPlan::uniform(99, 0.05);
     for (fidelity, accesses) in [(Fidelity::Modeled, 20_000), (Fidelity::Real, 8_000)] {
         for &wl in &[WorkloadId::MemcachedYcsb, WorkloadId::Bfs] {
@@ -338,6 +339,86 @@ fn execute_plan_report_is_worker_invariant() {
             sys.daemon_ns().to_bits(),
             base_sys.daemon_ns().to_bits(),
             "workers={workers}: daemon_ns"
+        );
+    }
+}
+
+#[test]
+fn execute_plan_applies_what_the_serial_path_applies() {
+    // One migration path: execute_plan only precomputes the pure work of
+    // its batched pages, then applies every page through the serial path
+    // that migrate_region walks. So after any plan — compressed-to-
+    // compressed recompression, moves out to byte tiers, pool-limit
+    // writeback, swapped sources, a region listed twice — the page table,
+    // the tier statistics, the pools and the swap device match a
+    // per-region walk of the same plan. Only the charged costs differ:
+    // the engine charges one logical worker per destination.
+    use tierscape::sim::{Placement, PlannedMove};
+
+    for spectrum in [false, true] {
+        let mk = || {
+            let w = WorkloadId::MemcachedYcsb.build(Scale::TEST, 21);
+            let rss = w.rss_bytes();
+            let cfg = if spectrum {
+                SimConfig::spectrum(rss, Fidelity::Real, 21)
+            } else {
+                SimConfig::standard_mix(rss, Fidelity::Real, 21)
+            };
+            let cfg = cfg.with_pool_limit(rss / 16);
+            TieredSystem::new(cfg, w).expect("valid configuration")
+        };
+        let (mut engine, mut serial) = (mk(), mk());
+        let placements = engine.placements();
+        let regions = engine.total_regions();
+        let plans: Vec<Vec<PlannedMove>> = (0..4u64)
+            .map(|round| {
+                let mut plan: Vec<PlannedMove> = (0..regions)
+                    .map(|r| PlannedMove {
+                        region: r,
+                        dest: placements[((r * 7 + round * 3) % placements.len() as u64) as usize],
+                    })
+                    .collect();
+                plan.push(PlannedMove {
+                    region: round % regions,
+                    dest: Placement::Compressed(0),
+                });
+                plan
+            })
+            .collect();
+        let mut writebacks = 0;
+        for (round, plan) in plans.iter().enumerate() {
+            engine.execute_plan(plan, 4);
+            for mv in plan {
+                serial.migrate_region(mv.region, mv.dest);
+            }
+            let label = format!("spectrum={spectrum} round {round}");
+            for p in 0..engine.total_pages() {
+                assert_eq!(
+                    engine.page_placement(p),
+                    serial.page_placement(p),
+                    "{label}: page {p}"
+                );
+            }
+            assert_eq!(
+                engine.placement_counts(),
+                serial.placement_counts(),
+                "{label}"
+            );
+            assert_eq!(engine.swapped_pages(), serial.swapped_pages(), "{label}");
+            for t in 0..placements.len() - 1 - engine.config().byte_tiers.len() {
+                let (a, b) = (engine.tier_stats(t), serial.tier_stats(t));
+                assert_eq!(format!("{a:?}"), format!("{b:?}"), "{label}: tier {t}");
+                assert_eq!(
+                    engine.tier_pool_bytes(t),
+                    serial.tier_pool_bytes(t),
+                    "{label}: tier {t} pool"
+                );
+                writebacks += a.writebacks;
+            }
+        }
+        assert!(
+            writebacks > 0,
+            "spectrum={spectrum}: no pool-limit writeback"
         );
     }
 }

@@ -367,8 +367,8 @@ proptest! {
     }
 
     /// Load-after-store round-trips for every (algorithm, pool, medium)
-    /// combination — the paper's full 63-tier space — through the sharded
-    /// `&self` subsystem API.
+    /// combination — the paper's full 63-tier space — through the
+    /// subsystem API.
     #[test]
     fn zswap_round_trips_all_63_tier_combinations(
         content_seed in any::<u64>(),
@@ -414,9 +414,11 @@ proptest! {
         }
     }
 
-    /// Under arbitrary interleavings of stores, migrations and invalidations
-    /// across shards, every tier's compressed payload stays inside its pool's
-    /// backing pages: stored bytes never exceed what the pool actually holds.
+    /// Under arbitrary interleavings of stores, migrations (split into the
+    /// pure `recompress` and the serial `insert`, then the source release)
+    /// and invalidations across tiers, pages are conserved, a source stays
+    /// intact until it is released, and every tier's compressed payload
+    /// stays inside its pool's backing pages.
     #[test]
     fn zswap_stored_bytes_bounded_by_pool(
         ops in proptest::collection::vec((0u8..3, 0usize..64, 0usize..3), 1..80),
@@ -455,15 +457,25 @@ proptest! {
                     let idx = pick % live.len();
                     let (t, s, page_idx) = live[idx];
                     if t != tsel && !s.is_same_filled() {
-                        match z.migrate_copy(tiers[t], tiers[tsel], s) {
-                            Ok(out) => {
-                                z.finish_migration_out(tiers[t], s).expect("live");
-                                live[idx] = (tsel, out.stored, page_idx);
+                        // The pure half reads the source and changes nothing.
+                        let before = z.tier(tiers[t]).unwrap().stats();
+                        let c = z.recompress(tiers[t], tiers[tsel], s).expect("live source");
+                        prop_assert_eq!(z.tier(tiers[t]).unwrap().stats(), before);
+                        let inserted = z.tier_mut(tiers[tsel]).unwrap().insert(&c, s.original_len);
+                        // Whatever the destination did, the source copy is
+                        // intact until it is released.
+                        let class = PageClass::ALL[page_idx as usize % PageClass::ALL.len()];
+                        class.fill(3, page_idx, &mut buf);
+                        let src = z.tier(tiers[t]).unwrap().decompress(s).expect("source intact");
+                        prop_assert_eq!(&src, &buf);
+                        match inserted {
+                            Ok(new) => {
+                                z.invalidate(tiers[t], s).expect("live");
+                                live[idx] = (tsel, new, page_idx);
                             }
-                            // Destination codec may reject the page; the
-                            // source copy must stay untouched.
+                            // Destination codec may reject the page.
                             Err(ZswapError::Incompressible) => {}
-                            Err(e) => prop_assert!(false, "migrate_copy: {e}"),
+                            Err(e) => prop_assert!(false, "insert: {e}"),
                         }
                     }
                 }
@@ -473,6 +485,8 @@ proptest! {
                 }
                 _ => {}
             }
+            // Pages are conserved: every live page is stored exactly once.
+            prop_assert_eq!(z.total_pages(), live.len() as u64);
             for &tid in &tiers {
                 let tier = z.tier(tid).unwrap();
                 let (stats, pool) = (tier.stats(), tier.pool_stats());
@@ -495,7 +509,7 @@ proptest! {
         prop_assert_eq!(z.total_pages(), 0);
     }
 
-    /// Random fault plans never violate the sharded-zswap invariants: with
+    /// Random fault plans never violate the zswap invariants: with
     /// arbitrary per-site rates injected into every one of the 63 tier
     /// combinations, stores either succeed, honestly reject
     /// (`Incompressible`), or fail with an injected `CompressFailed` /
@@ -563,11 +577,12 @@ proptest! {
         prop_assert_eq!(z.total_pages(), 0);
     }
 
-    /// Two threads racing `invalidate` on the same handles (while a third
-    /// keeps storing into another shard) free each page exactly once: the
-    /// loser gets a clean error, never a double-free or corrupted stats.
+    /// Two walkers invalidating the same handles in opposite orders (while
+    /// stores into another tier are interleaved) free each page exactly
+    /// once: the second attempt gets a clean error, never a double-free or
+    /// corrupted stats.
     #[test]
-    fn zswap_concurrent_store_invalidate_no_double_free(
+    fn zswap_double_invalidate_no_double_free(
         kind_idx in 0usize..3,
         pages in 8usize..40,
     ) {
@@ -602,38 +617,16 @@ proptest! {
             })
             .collect();
 
-        let z = &z;
-        let handles = &handles;
-        let (oks_a, oks_b, stored_count) = std::thread::scope(|scope| {
-            // Racers walk the same handles in opposite orders.
-            let a = scope.spawn(move || {
-                handles
-                    .iter()
-                    .map(|&s| z.invalidate(victims, s).is_ok())
-                    .collect::<Vec<bool>>()
-            });
-            let b = scope.spawn(move || {
-                handles
-                    .iter()
-                    .rev()
-                    .map(|&s| z.invalidate(victims, s).is_ok())
-                    .collect::<Vec<bool>>()
-            });
-            // Meanwhile an unrelated shard takes stores through &self.
-            let c = scope.spawn(move || {
-                let mut buf = vec![0u8; 4096];
-                let mut stored = Vec::new();
-                for i in 0..pages {
-                    PageClass::HighlyCompressible.fill(23, i as u64, &mut buf);
-                    stored.push(z.store(stores, &buf).expect("compressible"));
-                }
-                stored
-            });
-            let oks_a = a.join().expect("no panic in racer A");
-            let mut oks_b = b.join().expect("no panic in racer B");
-            oks_b.reverse();
-            (oks_a, oks_b, c.join().expect("no panic in storer").len())
-        });
+        // Walkers A and B visit the same handles in opposite orders, one
+        // step each in turn, with a store into the other tier between.
+        let (mut oks_a, mut oks_b) = (vec![false; pages], vec![false; pages]);
+        for i in 0..pages {
+            oks_a[i] = z.invalidate(victims, handles[i]).is_ok();
+            let j = pages - 1 - i;
+            oks_b[j] = z.invalidate(victims, handles[j]).is_ok();
+            PageClass::HighlyCompressible.fill(23, i as u64, &mut buf);
+            z.store(stores, &buf).expect("compressible");
+        }
 
         for (i, (&a, &b)) in oks_a.iter().zip(&oks_b).enumerate() {
             prop_assert!(
@@ -646,7 +639,6 @@ proptest! {
         prop_assert_eq!(vt.stats().pages, 0);
         prop_assert_eq!(vt.stats().compressed_bytes, 0);
         prop_assert_eq!(vt.pool_stats().stored_bytes, 0);
-        drop(vt);
-        prop_assert_eq!(z.tier(stores).unwrap().stats().pages as usize, stored_count);
+        prop_assert_eq!(z.tier(stores).unwrap().stats().pages as usize, pages);
     }
 }
