@@ -9,6 +9,7 @@ use crate::calib::Calibration;
 use crate::histogram::LatencyHistogram;
 use crate::{Fidelity, Placement, SimConfig, SimError, SimResult};
 use std::sync::Arc;
+use ts_compress::Algorithm;
 use ts_faults::{FaultCounters, FaultPlan, FaultSite, TierError};
 use ts_mem::{Machine, MediaKind, MediaSpec, PAGE_SIZE};
 use ts_obs::{Registry, SpanTimer, WorkerSink};
@@ -166,14 +167,31 @@ impl MoveCost {
     }
 }
 
+/// The bit of `algorithm` in a page's incompressibility memo.
+fn memo_bit(algorithm: Algorithm) -> u8 {
+    match algorithm {
+        Algorithm::Lz4 => 1,
+        Algorithm::Lz4hc => 1 << 1,
+        Algorithm::Lzo => 1 << 2,
+        Algorithm::LzoRle => 1 << 3,
+        Algorithm::Deflate => 1 << 4,
+        Algorithm::Zstd => 1 << 5,
+        Algorithm::Sw842 => 1 << 6,
+        Algorithm::Store => 1 << 7,
+    }
+}
+
 /// Phase-A work for one page: the pure part of moving a page from
-/// residency `snap` to `dest`. Reads zswap and the workload only.
+/// residency `snap` to `dest`. Reads zswap and the workload only. `memo`
+/// is the page's incompressibility memo: a destination codec it names is
+/// not run again.
 fn prepare(
     z: &ZswapSubsystem,
     ids: &[TierId],
     workload: &dyn Workload,
     page: &PlanPage,
     dest: Placement,
+    memo: u8,
     buf: &mut [u8],
 ) -> ZswapResult<Prepared> {
     match (page.snap, dest) {
@@ -186,9 +204,15 @@ fn prepare(
             Placement::Compressed(t),
         ) => {
             let (from, to) = (ids[tier as usize], ids[t]);
+            let algorithm = z.tier(to)?.config().algorithm;
             // The §7.1 same-algorithm fast path is a memcpy: left serial.
-            if z.tier(from)?.config().algorithm == z.tier(to)?.config().algorithm {
+            if z.tier(from)?.config().algorithm == algorithm {
                 Ok(Prepared::Nothing)
+            } else if memo & memo_bit(algorithm) != 0 {
+                // Still decode, so every stored page read is checked.
+                z.tier(from)?
+                    .decompress(s)
+                    .map(|_| Prepared::Compressed(Compressed::Incompressible))
             } else {
                 z.recompress(from, to, s).map(Prepared::Compressed)
             }
@@ -205,8 +229,12 @@ fn prepare(
             .decompress(s)
             .map(|_| Prepared::Decoded),
         (_, Placement::Compressed(t)) => {
+            let tier = z.tier(ids[t])?;
+            if memo & memo_bit(tier.config().algorithm) != 0 {
+                return Ok(Prepared::Compressed(Compressed::Incompressible));
+            }
             workload.fill_page(page.vpage, buf);
-            Ok(Prepared::Compressed(z.tier(ids[t])?.compress(buf)))
+            Ok(Prepared::Compressed(tier.compress(buf)))
         }
         _ => Ok(Prepared::Nothing),
     }
@@ -289,6 +317,13 @@ pub struct TieredSystem {
     /// Boxed to keep the hot struct small; recorded values are pure
     /// functions of the run configuration (see ts-obs).
     obs: Option<Box<Registry>>,
+    /// Per-page incompressibility memo (`Real` fidelity only, else
+    /// empty): bit [`memo_bit`]`(a)` is set once phase A of
+    /// [`Self::execute_plan`] found the page incompressible under
+    /// algorithm `a`. Exact, because a page's content is a pure function
+    /// of the workload's content seed and the page, and a tier's codec of
+    /// its algorithm.
+    incompressible: Vec<u8>,
 }
 
 impl TieredSystem {
@@ -337,6 +372,10 @@ impl TieredSystem {
             .iter()
             .map(|&(k, _)| k.default_spec())
             .collect();
+        let incompressible = match cfg.fidelity {
+            Fidelity::Real => vec![0u8; total_pages],
+            Fidelity::Modeled => Vec::new(),
+        };
         let ntiers = cfg.compressed_tiers.len();
         let nbyte = cfg.byte_tiers.len();
         let mut resident = vec![0u64; 1 + nbyte];
@@ -370,6 +409,7 @@ impl TieredSystem {
             fault_counters: FaultCounters::default(),
             fault_nonce: 0,
             obs: None,
+            incompressible,
         })
     }
 
@@ -1277,13 +1317,18 @@ impl TieredSystem {
     ///   compress, decompress and recompress, decompress — on up to
     ///   `workers` scoped threads, in chunks of at most
     ///   [`CHUNK_PAGES_PER_WORKER`] pages per worker. It only reads the
-    ///   system.
+    ///   system. A page whose incompressibility memo names the
+    ///   destination's algorithm comes back incompressible without
+    ///   running the codec (or, from a byte tier, `fill_page`); a
+    ///   compressed source is still decoded.
     /// * **Phase B** applies every page in plan order through the one
     ///   serial migration path, which takes phase A's output instead of
     ///   recomputing it. Each chunk is applied before the next is
-    ///   computed. A page whose residency changed since phase 0 (an
-    ///   earlier page's pool-limit writeback evicted it) takes the serial
-    ///   path uncomputed.
+    ///   computed. It records each page phase A found incompressible for
+    ///   its destination's algorithm in the memo. A page whose residency
+    ///   changed since phase 0 (an earlier page's pool-limit writeback
+    ///   evicted it) takes the serial path uncomputed, which neither reads
+    ///   nor writes the memo.
     ///
     /// Every state change happens in phase B, in plan order, and every
     /// cost is closed-form in the page sizes, so the outcome — placements,
@@ -1378,6 +1423,15 @@ impl TieredSystem {
             // Whatever is left for the serial path, charged page by page.
             let serial = match batch {
                 Some((b, prepared)) if self.pages[vpage as usize] == page.snap => {
+                    // Remember a rejection, so later plans skip the codec.
+                    if let (
+                        Ok(Prepared::Compressed(Compressed::Incompressible)),
+                        Placement::Compressed(t),
+                    ) = (&prepared, dest)
+                    {
+                        let bit = memo_bit(self.cfg.compressed_tiers[t].algorithm);
+                        self.incompressible[vpage as usize] |= bit;
+                    }
                     let result = prepared
                         .map_err(SimError::Zswap)
                         .and_then(|p| self.move_page(vpage, dest, p));
@@ -1506,6 +1560,7 @@ impl TieredSystem {
             .as_ref()
             .expect("batched pages imply Real fidelity");
         let (ids, workload) = (&self.zswap_ids, self.workload.as_ref());
+        let memo = &self.incompressible;
         let run = |slice: &[usize]| -> Vec<(ZswapResult<Prepared>, u64)> {
             let mut buf = vec![0u8; PAGE_SIZE];
             slice
@@ -1514,7 +1569,8 @@ impl TieredSystem {
                     let page = &pages[i];
                     let timer = SpanTimer::new();
                     let dest = moves[page.entry].dest;
-                    let prepared = prepare(z, ids, workload, page, dest, &mut buf);
+                    let bits = memo[page.vpage as usize];
+                    let prepared = prepare(z, ids, workload, page, dest, bits, &mut buf);
                     (prepared, timer.elapsed_ns())
                 })
                 .collect()

@@ -683,6 +683,52 @@ mod corruption_tests {
         assert_eq!(z.tier(a).unwrap().stats(), z.tier(b).unwrap().stats());
     }
 
+    /// `compress` depends on the page and the tier's algorithm only, not
+    /// on its pool or medium: a page one tier rejects as incompressible,
+    /// every tier with that algorithm rejects.
+    #[test]
+    fn compress_depends_on_the_algorithm_only() {
+        let m = Machine::builder()
+            .node(MediaKind::Dram, 16 << 20)
+            .node(MediaKind::Nvmm, 16 << 20)
+            .build();
+        let mut z = ZswapSubsystem::new(Arc::new(m));
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let noise: Vec<u8> = (0..4096)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            })
+            .collect();
+        let pages = [text_page(), vec![7u8; 4096], noise];
+        let configs = TierConfig::characterized_12();
+        let ids: Vec<_> = configs
+            .iter()
+            .map(|c| z.create_tier(c.clone()).unwrap())
+            .collect();
+        for (i, a) in configs.iter().enumerate() {
+            let same: Vec<_> = (0..configs.len())
+                .filter(|&j| j != i && configs[j].algorithm == a.algorithm)
+                .collect();
+            assert_eq!(same.len(), 3, "{}: one per pool and medium", a.label);
+            for page in &pages {
+                let want = z.tier(ids[i]).unwrap().compress(page);
+                for &j in &same {
+                    let got = z.tier(ids[j]).unwrap().compress(page);
+                    assert_eq!(got, want, "{} vs {}", a.label, configs[j].label);
+                }
+            }
+            assert_eq!(
+                z.tier(ids[i]).unwrap().compress(&pages[2]),
+                Compressed::Incompressible,
+                "{}: noise page",
+                a.label
+            );
+        }
+    }
+
     fn machine() -> Arc<Machine> {
         Arc::new(Machine::builder().node(MediaKind::Dram, 16 << 20).build())
     }

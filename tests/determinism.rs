@@ -343,6 +343,53 @@ fn execute_plan_report_is_worker_invariant() {
     }
 }
 
+/// Assert the engine-driven and the serially driven system hold the same
+/// state: the page table, placement counts, swap device, and every
+/// compressed tier's statistics (rejections included) and pool. Returns
+/// the engine's cumulative pool-limit writebacks.
+fn assert_same_state(engine: &TieredSystem, serial: &TieredSystem, label: &str) -> u64 {
+    for p in 0..engine.total_pages() {
+        assert_eq!(
+            engine.page_placement(p),
+            serial.page_placement(p),
+            "{label}: page {p}"
+        );
+    }
+    assert_eq!(
+        engine.placement_counts(),
+        serial.placement_counts(),
+        "{label}"
+    );
+    assert_eq!(engine.swapped_pages(), serial.swapped_pages(), "{label}");
+    let mut writebacks = 0;
+    for t in 0..engine.config().compressed_tiers.len() {
+        let (a, b) = (engine.tier_stats(t), serial.tier_stats(t));
+        assert_eq!(format!("{a:?}"), format!("{b:?}"), "{label}: tier {t}");
+        assert_eq!(
+            engine.tier_pool_bytes(t),
+            serial.tier_pool_bytes(t),
+            "{label}: tier {t} pool"
+        );
+        writebacks += a.writebacks;
+    }
+    writebacks
+}
+
+/// Run `plan` through the engine on `engine` and region by region on
+/// `serial`; returns the pages each rejected.
+fn apply_both(
+    engine: &mut TieredSystem,
+    serial: &mut TieredSystem,
+    plan: &[tierscape::sim::PlannedMove],
+) -> (u64, u64) {
+    let rejected = engine.execute_plan(plan, 4).rejected;
+    let serial_rejected = plan
+        .iter()
+        .map(|mv| serial.migrate_region(mv.region, mv.dest).rejected)
+        .sum();
+    (rejected, serial_rejected)
+}
+
 #[test]
 fn execute_plan_applies_what_the_serial_path_applies() {
     // One migration path: execute_plan only precomputes the pure work of
@@ -387,38 +434,75 @@ fn execute_plan_applies_what_the_serial_path_applies() {
             .collect();
         let mut writebacks = 0;
         for (round, plan) in plans.iter().enumerate() {
-            engine.execute_plan(plan, 4);
-            for mv in plan {
-                serial.migrate_region(mv.region, mv.dest);
-            }
             let label = format!("spectrum={spectrum} round {round}");
-            for p in 0..engine.total_pages() {
-                assert_eq!(
-                    engine.page_placement(p),
-                    serial.page_placement(p),
-                    "{label}: page {p}"
-                );
-            }
-            assert_eq!(
-                engine.placement_counts(),
-                serial.placement_counts(),
-                "{label}"
-            );
-            assert_eq!(engine.swapped_pages(), serial.swapped_pages(), "{label}");
-            for t in 0..placements.len() - 1 - engine.config().byte_tiers.len() {
-                let (a, b) = (engine.tier_stats(t), serial.tier_stats(t));
-                assert_eq!(format!("{a:?}"), format!("{b:?}"), "{label}: tier {t}");
-                assert_eq!(
-                    engine.tier_pool_bytes(t),
-                    serial.tier_pool_bytes(t),
-                    "{label}: tier {t} pool"
-                );
-                writebacks += a.writebacks;
-            }
+            let (rejected, serial_rejected) = apply_both(&mut engine, &mut serial, plan);
+            assert_eq!(rejected, serial_rejected, "{label}: rejected pages");
+            writebacks = assert_same_state(&engine, &serial, &label);
         }
         assert!(
             writebacks > 0,
             "spectrum={spectrum}: no pool-limit writeback"
         );
+    }
+}
+
+#[test]
+fn execute_plan_rejects_what_the_serial_path_rejects() {
+    // The engine remembers which codec rejected which page and does not
+    // run that codec on the page again; the serial path runs it every
+    // time. Plans that send the same regions to the same tier round after
+    // round must still reject, count and place exactly what a per-region
+    // walk does — for a compressed source (pagerank, C4 lz4 -> C7 lzo) and
+    // for a byte source (memcached-ycsb, NVMM -> CT-1 lzo). A last round
+    // offers the rejected pages a tier with another codec (C12 deflate,
+    // CT-2 zstd), which must not inherit the lzo rejections.
+    use tierscape::sim::{Placement, PlannedMove};
+
+    let cases = [
+        (
+            WorkloadId::PageRank,
+            true,
+            [2, 3, 4].map(Placement::Compressed),
+        ),
+        (
+            WorkloadId::MemcachedYcsb,
+            false,
+            [
+                Placement::ByteTier(0),
+                Placement::Compressed(0),
+                Placement::Compressed(1),
+            ],
+        ),
+    ];
+    for (wl, spectrum, [src, dst, other]) in cases {
+        let mk = || {
+            let w = wl.build(Scale::TEST, 21);
+            let rss = w.rss_bytes();
+            let cfg = if spectrum {
+                SimConfig::spectrum(rss, Fidelity::Real, 21)
+            } else {
+                SimConfig::standard_mix(rss, Fidelity::Real, 21)
+            };
+            TieredSystem::new(cfg, w).expect("valid configuration")
+        };
+        let (mut engine, mut serial) = (mk(), mk());
+        let all = |dest| -> Vec<PlannedMove> {
+            (0..engine.total_regions())
+                .map(|region| PlannedMove { region, dest })
+                .collect()
+        };
+        // Onto the source tier, then three times to the destination with a
+        // round back to the source between: rounds 2 and 4 retry pages an
+        // earlier round rejected.
+        let plans = [all(src), all(dst), all(dst), all(src), all(dst), all(other)];
+        for (round, plan) in plans.iter().enumerate() {
+            let label = format!("{} round {round}", wl.name());
+            let (rejected, serial_rejected) = apply_both(&mut engine, &mut serial, plan);
+            assert_eq!(rejected, serial_rejected, "{label}: rejected pages");
+            assert_same_state(&engine, &serial, &label);
+            if round == 2 || round == 4 {
+                assert!(rejected > 0, "{label}: the retry rejected nothing");
+            }
+        }
     }
 }
