@@ -1,9 +1,10 @@
 //! Shared LZ77 match-finding machinery.
 //!
 //! Provides a hash-chain match finder with configurable search depth and a
-//! greedy/lazy tokenizer producing a stream of [`Token`]s. The byte-oriented
-//! codecs (lz4, lzo) embed their own simpler finders for speed; the
-//! entropy-coded codecs (deflate, zstd-lite) share this one.
+//! greedy/lazy tokenizer producing a stream of [`Token`]s. lzo and lzo-rle
+//! drive the finder directly; the entropy-coded codecs (deflate, zstd-lite)
+//! go through [`tokenize`]. Only lz4 and lz4hc keep their own finders (a
+//! single-probe table and a lazy chain parser over the lz4 format).
 
 /// Minimum match length considered by the shared finder.
 pub const MIN_MATCH: usize = 3;
@@ -27,6 +28,10 @@ pub enum Token {
 /// The hash-head and chain tables are taken from a thread-local scratch pool
 /// so that per-page compression (the zswap hot path) performs no heap
 /// allocation after warm-up.
+///
+/// Every position is visited through [`MatchFinder::find_and_insert`], which
+/// hashes it once for both the search and the chain insert, or through
+/// [`MatchFinder::insert`] for positions inside an emitted match.
 #[derive(Debug)]
 pub struct MatchFinder<'a> {
     src: &'a [u8],
@@ -48,14 +53,16 @@ impl<'a> MatchFinder<'a> {
     ///
     /// * `window` — maximum backward distance.
     /// * `max_chain` — chain probes per position (search effort).
-    /// * `max_match` — longest match to report.
+    /// * `max_match` — longest match to report (at least [`MIN_MATCH`]).
     pub fn new(src: &'a [u8], window: usize, max_chain: usize, max_match: usize) -> Self {
+        debug_assert!(max_match >= MIN_MATCH);
         // Small inputs (pages) get a small table: cheaper to reset.
         let hash_bits = if src.len() <= 4096 { 12 } else { 15 };
         let (mut head, mut prev) = SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
         head.clear();
         head.resize(1 << hash_bits, -1);
-        prev.clear();
+        // `prev[p]` is written when `p` is inserted, before any chain can
+        // reach `p`, so stale entries from an earlier input are never read.
         prev.resize(src.len(), -1);
         MatchFinder {
             src,
@@ -68,45 +75,56 @@ impl<'a> MatchFinder<'a> {
         }
     }
 
+    /// Hash of the [`MIN_MATCH`] bytes at `pos`, or `None` when fewer
+    /// remain: such a position can neither match nor be matched.
     #[inline]
-    fn hash(&self, pos: usize) -> usize {
-        let b = &self.src[pos..];
+    fn hash(&self, pos: usize) -> Option<usize> {
+        let b = self.src.get(pos..pos + MIN_MATCH)?;
         let v = (b[0] as u32) | ((b[1] as u32) << 8) | ((b[2] as u32) << 16);
-        ((v.wrapping_mul(0x9E37_79B1)) >> (32 - self.hash_bits)) as usize
+        Some(((v.wrapping_mul(0x9E37_79B1)) >> (32 - self.hash_bits)) as usize)
     }
 
-    /// Insert position `pos` into the chains (requires >= 3 readable bytes).
+    /// Insert position `pos` into the chains (a no-op with fewer than
+    /// [`MIN_MATCH`] bytes left).
     #[inline]
     pub fn insert(&mut self, pos: usize) {
-        if pos + MIN_MATCH > self.src.len() {
-            return;
+        if let Some(h) = self.hash(pos) {
+            self.prev[pos] = self.head[h];
+            self.head[h] = pos as i32;
         }
-        let h = self.hash(pos);
-        self.prev[pos] = self.head[h];
-        self.head[h] = pos as i32;
     }
 
-    /// Find the best match at `pos`, returning `(len, dist)` or `None`.
-    pub fn best_match(&self, pos: usize) -> Option<(u32, u32)> {
-        if pos + MIN_MATCH > self.src.len() {
-            return None;
-        }
-        let max_len = (self.src.len() - pos).min(self.max_match);
-        let h = self.hash(pos);
-        let mut cand = self.head[h];
+    /// Find the best match at `pos` among the positions inserted so far,
+    /// then insert `pos`, hashing it once for both. Returns `(len, dist)`,
+    /// or `None` when no match of at least [`MIN_MATCH`] bytes exists.
+    #[inline]
+    pub fn find_and_insert(&mut self, pos: usize) -> Option<(u32, u32)> {
+        let h = self.hash(pos)?;
+        let cand = self.head[h];
+        self.prev[pos] = cand;
+        self.head[h] = pos as i32;
+        self.probe(pos, cand)
+    }
+
+    /// Walk the chain from `cand` for the longest match at `pos`. All
+    /// per-position bounds are settled before the loop: `pos` has at least
+    /// [`MIN_MATCH`] bytes left, and the window floor `lo >= 0` also stops
+    /// the walk at the end-of-chain marker `-1`.
+    #[inline]
+    fn probe(&self, pos: usize, mut cand: i32) -> Option<(u32, u32)> {
+        let src = self.src;
+        let max_len = (src.len() - pos).min(self.max_match);
+        let lo = pos.saturating_sub(self.window) as i32;
         let mut best_len = MIN_MATCH - 1;
         let mut best_dist = 0u32;
         let mut chain = self.max_chain;
-        let lo = pos.saturating_sub(self.window);
-        while cand >= 0 && chain > 0 {
+        // Invariant: best_len < max_len (the walk stops on a maximal match).
+        while cand >= lo && chain > 0 {
             let c = cand as usize;
-            if c < lo {
-                break;
-            }
             debug_assert!(c < pos);
             // Quick reject: compare the byte just past the current best.
-            if best_len < max_len && self.src[c + best_len] == self.src[pos + best_len] {
-                let len = common_prefix(self.src, c, pos, max_len);
+            if src[c + best_len] == src[pos + best_len] {
+                let len = common_prefix(src, c, pos, max_len);
                 if len > best_len {
                     best_len = len;
                     best_dist = (pos - c) as u32;
@@ -194,43 +212,38 @@ pub fn tokenize(
     let mut mf = MatchFinder::new(src, window, max_chain, max_match);
     let mut pos = 0usize;
     while pos < src.len() {
-        let cur = mf.best_match(pos);
-        mf.insert(pos);
-        match cur {
-            None => {
-                tokens.push(Token::Literal(src[pos]));
-                pos += 1;
-            }
-            Some((len, dist)) => {
-                let mut take = (len, dist);
-                let mut lit_first = false;
-                if lazy && pos + 1 < src.len() {
-                    if let Some((nlen, ndist)) = mf.best_match(pos + 1) {
-                        if nlen > len + 1 {
-                            // Deferring wins: emit a literal, take next match.
-                            lit_first = true;
-                            take = (nlen, ndist);
-                        }
-                    }
-                }
-                if lit_first {
+        let Some(cur) = mf.find_and_insert(pos) else {
+            tokens.push(Token::Literal(src[pos]));
+            pos += 1;
+            continue;
+        };
+        let mut take = cur;
+        // Next position to insert once the match is emitted.
+        let mut next = pos + 1;
+        if lazy {
+            // Search `pos + 1` before inserting it. Whether or not the
+            // deferral wins, `pos + 1` is the next position inserted, so the
+            // fused step does both.
+            next += 1;
+            if let Some(ahead) = mf.find_and_insert(pos + 1) {
+                if ahead.0 > cur.0 + 1 {
+                    // Deferring wins: emit a literal, take next match.
                     tokens.push(Token::Literal(src[pos]));
                     pos += 1;
-                    mf.insert(pos);
+                    take = ahead;
                 }
-                tokens.push(Token::Match {
-                    len: take.0,
-                    dist: take.1,
-                });
-                let end = (pos + take.0 as usize).min(src.len());
-                let mut p = pos + 1;
-                while p < end {
-                    mf.insert(p);
-                    p += 1;
-                }
-                pos = end;
             }
         }
+        tokens.push(Token::Match {
+            len: take.0,
+            dist: take.1,
+        });
+        let end = (pos + take.0 as usize).min(src.len());
+        while next < end {
+            mf.insert(next);
+            next += 1;
+        }
+        pos = end;
     }
     tokens
 }

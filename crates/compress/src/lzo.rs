@@ -10,7 +10,13 @@
 //!   decoder accepts it, mirroring how lzo-rle is a superset of lzo).
 //!
 //! Compression uses a depth-limited hash chain (deeper than LZ4's single
-//! probe, hence slightly slower and slightly denser), min match 3.
+//! probe, hence slightly slower and slightly denser), min match 3: the
+//! shared [`crate::lz77::MatchFinder`]. Each position the parser stops at
+//! goes through its fused `find_and_insert` step, which hashes the position
+//! once to search the chain and then to link the position into it; positions
+//! inside an emitted match are only inserted. The parser gives up as soon as
+//! its output reaches the input length, since the page is rejected as
+//! incompressible at that point whatever follows.
 
 use crate::bitio::{read_varint, write_varint};
 use crate::{Algorithm, Codec, CodecError, Result};
@@ -100,6 +106,12 @@ fn run_length(src: &[u8], pos: usize) -> usize {
     n
 }
 
+/// Drop the partial output of a page that did not shrink.
+fn reject(dst: &mut Vec<u8>, before: usize, input_len: usize) -> Result<usize> {
+    dst.truncate(before);
+    Err(CodecError::Incompressible { input_len })
+}
+
 fn compress_impl(src: &[u8], dst: &mut Vec<u8>, depth: usize, rle: bool) -> Result<usize> {
     let before = dst.len();
     if src.len() < MIN_MATCH {
@@ -108,10 +120,7 @@ fn compress_impl(src: &[u8], dst: &mut Vec<u8>, depth: usize, rle: bool) -> Resu
         }
         let written = dst.len() - before;
         if written >= src.len() && !src.is_empty() {
-            dst.truncate(before);
-            return Err(CodecError::Incompressible {
-                input_len: src.len(),
-            });
+            return reject(dst, before, src.len());
         }
         return Ok(written);
     }
@@ -129,6 +138,9 @@ fn compress_impl(src: &[u8], dst: &mut Vec<u8>, depth: usize, rle: bool) -> Resu
                     emit_literals(dst, &src[anchor..pos]);
                 }
                 emit_rle(dst, run, src[pos]);
+                if dst.len() - before >= src.len() {
+                    return reject(dst, before, src.len());
+                }
                 // Insert the head so later matches can reach the run.
                 mf.insert(pos);
                 pos += run;
@@ -136,14 +148,15 @@ fn compress_impl(src: &[u8], dst: &mut Vec<u8>, depth: usize, rle: bool) -> Resu
                 continue;
             }
         }
-        let best = mf.best_match(pos);
-        mf.insert(pos);
-        if let Some((len, off)) = best {
+        if let Some((len, off)) = mf.find_and_insert(pos) {
             let (best_len, best_off) = (len as usize, off as usize);
             if anchor < pos {
                 emit_literals(dst, &src[anchor..pos]);
             }
             emit_match(dst, best_len, best_off);
+            if dst.len() - before >= src.len() {
+                return reject(dst, before, src.len());
+            }
             let end = pos + best_len;
             let mut p = pos + 1;
             // Sparse insertion keeps compression cost bounded on long matches.
@@ -162,10 +175,7 @@ fn compress_impl(src: &[u8], dst: &mut Vec<u8>, depth: usize, rle: bool) -> Resu
     }
     let written = dst.len() - before;
     if written >= src.len() {
-        dst.truncate(before);
-        return Err(CodecError::Incompressible {
-            input_len: src.len(),
-        });
+        return reject(dst, before, src.len());
     }
     Ok(written)
 }

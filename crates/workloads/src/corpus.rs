@@ -122,32 +122,65 @@ const ZIPF_CUMULATIVE: [usize; 64] = {
 /// Total Zipf weight: draws range over `0..ZIPF_TOTAL`.
 const ZIPF_TOTAL: usize = ZIPF_CUMULATIVE[63];
 
-/// The word a Zipf draw `r < ZIPF_TOTAL` picks: the first whose
+/// The word each Zipf draw `r < ZIPF_TOTAL` picks: the first whose
 /// cumulative weight exceeds `r`.
-fn zipf_word(r: usize) -> usize {
-    ZIPF_CUMULATIVE.partition_point(|&c| c <= r)
-}
+const ZIPF_WORD: [u8; ZIPF_TOTAL] = {
+    let mut table = [0u8; ZIPF_TOTAL];
+    let (mut r, mut w) = (0, 0);
+    while r < ZIPF_TOTAL {
+        while ZIPF_CUMULATIVE[w] <= r {
+            w += 1;
+        }
+        table[r] = w as u8;
+        r += 1;
+    }
+    table
+};
+
+/// [`fill_dickens_like`]'s vocabulary, most frequent first.
+const WORDS: [&str; 64] = [
+    "the", "of", "and", "a", "to", "in", "he", "was", "that", "it", "his", "her", "with", "as",
+    "had", "for", "at", "not", "on", "but", "be", "they", "you", "which", "she", "him", "all",
+    "were", "this", "have", "said", "from", "one", "when", "who", "them", "been", "would", "there",
+    "what", "little", "old", "time", "upon", "great", "such", "never", "very", "much", "over",
+    "again", "down", "house", "himself", "before", "through", "hand", "head", "night", "without",
+    "looked", "found", "thought", "young",
+];
+
+/// [`WORDS`] zero-padded to 8 bytes (every word is shorter), so a word
+/// away from the end of the buffer copies as one fixed-size block.
+const PADDED_WORDS: [[u8; 8]; 64] = {
+    let mut table = [[0u8; 8]; 64];
+    let mut w = 0;
+    while w < 64 {
+        let word = WORDS[w].as_bytes();
+        assert!(word.len() < 8);
+        let mut i = 0;
+        while i < word.len() {
+            table[w][i] = word[i];
+            i += 1;
+        }
+        w += 1;
+    }
+    table
+};
 
 /// English-prose-like text (dickens analogue): Zipf-weighted word soup with
 /// sentence and paragraph structure.
 pub fn fill_dickens_like(seed: u64, index: u64, buf: &mut [u8]) {
-    const WORDS: [&str; 64] = [
-        "the", "of", "and", "a", "to", "in", "he", "was", "that", "it", "his", "her", "with", "as",
-        "had", "for", "at", "not", "on", "but", "be", "they", "you", "which", "she", "him", "all",
-        "were", "this", "have", "said", "from", "one", "when", "who", "them", "been", "would",
-        "there", "what", "little", "old", "time", "upon", "great", "such", "never", "very", "much",
-        "over", "again", "down", "house", "himself", "before", "through", "hand", "head", "night",
-        "without", "looked", "found", "thought", "young",
-    ];
     let mut rng = Lcg(mix(seed, index));
     let mut pos = 0usize;
     let mut words_in_sentence = 0usize;
     let mut capitalize = true;
     while pos < buf.len() {
         // Zipf-ish pick: prefer low indices.
-        let word = WORDS[zipf_word(rng.below(ZIPF_TOTAL))].as_bytes();
-        let n = word.len().min(buf.len() - pos);
-        buf[pos..pos + n].copy_from_slice(&word[..n]);
+        let w = ZIPF_WORD[rng.below(ZIPF_TOTAL)] as usize;
+        let n = WORDS[w].len().min(buf.len() - pos);
+        match buf.get_mut(pos..pos + 8) {
+            // The padding lands past the word, on bytes written later.
+            Some(dst) => dst.copy_from_slice(&PADDED_WORDS[w]),
+            None => buf[pos..pos + n].copy_from_slice(&PADDED_WORDS[w][..n]),
+        }
         if capitalize && n > 0 {
             buf[pos] = buf[pos].to_ascii_uppercase();
             capitalize = false;
@@ -275,7 +308,7 @@ mod tests {
     }
 
     /// The linear Zipf scan `fill_dickens_like` used before its lookup
-    /// table: the reference the table must agree with.
+    /// tables: the reference [`ZIPF_WORD`] must agree with.
     fn zipf_scan(r: usize) -> usize {
         let mut w = 0usize;
         let mut acc = 64usize;
@@ -290,8 +323,9 @@ mod tests {
 
     #[test]
     fn zipf_lookup_matches_the_linear_scan() {
-        for r in 0..ZIPF_TOTAL {
-            assert_eq!(zipf_word(r), zipf_scan(r), "r = {r}");
+        // One entry per draw: the table's type fixes its length at ZIPF_TOTAL.
+        for (r, &word) in ZIPF_WORD.iter().enumerate() {
+            assert_eq!(usize::from(word), zipf_scan(r), "r = {r}");
         }
     }
 

@@ -64,6 +64,39 @@ proptest! {
         let _ = codec.decompress(&garbage, &mut out);
     }
 
+    /// Decoders also survive damaged *real* streams, which get much deeper
+    /// into a decoder than random garbage: a page of each class compressed
+    /// by every codec, then 1–4 bytes overwritten, or the stream truncated.
+    /// `decompress` must return `Ok` or `Err`, never panic or hang.
+    #[test]
+    fn decoders_survive_corrupted_streams(
+        class_idx in 0usize..5,
+        page in 0u64..1_000_000,
+        edits in proptest::collection::vec((any::<u16>(), 1u8..=255), 1..5),
+        cut in any::<u16>(),
+    ) {
+        let mut buf = vec![0u8; 4096];
+        tierscape::workloads::PageClass::ALL[class_idx].fill(42, page, &mut buf);
+        for algo in Algorithm::ALL {
+            let codec = algo.codec();
+            let mut stream = Vec::new();
+            let Ok(n) = codec.compress(&buf, &mut stream) else {
+                continue;
+            };
+            stream.truncate(n);
+            let mut overwritten = stream.clone();
+            for &(at, flip) in &edits {
+                // A non-zero xor always changes the byte.
+                overwritten[usize::from(at) % n] ^= flip;
+            }
+            let truncated = &stream[..usize::from(cut) % n];
+            for damaged in [&overwritten[..], truncated] {
+                let mut out = Vec::new();
+                let _ = codec.decompress(damaged, &mut out);
+            }
+        }
+    }
+
     /// Buddy allocator: arbitrary alloc/free sequences preserve the frame
     /// accounting invariant and full coalescing on quiescence.
     #[test]
