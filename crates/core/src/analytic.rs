@@ -16,7 +16,6 @@
 //! against performance (Fig. 5).
 
 use crate::policy::{full_hotness, PlacementPolicy, PlanCacheMode, PlanDecision, PlanEntry};
-use crate::remote::SolverService;
 use ts_sim::{Placement, TieredSystem};
 use ts_solver::mckp::{MckpItem, MckpProblem, MckpSolution, WarmState};
 use ts_telemetry::HotnessSnapshot;
@@ -26,8 +25,8 @@ use ts_telemetry::HotnessSnapshot;
 pub enum SolverSite {
     /// Solve on the local machine: solver CPU time is daemon tax.
     Local,
-    /// Ship the profile to a remote solver: only a small round-trip cost is
-    /// charged locally.
+    /// Ship the profile to a remote solver: only the modeled network round
+    /// trip is charged locally.
     Remote,
 }
 
@@ -85,8 +84,6 @@ pub struct AnalyticalModel {
     last_cost_ns: f64,
     last_iterations: u64,
     label: Option<String>,
-    /// Lazily spawned solver thread for [`SolverSite::Remote`].
-    service: Option<SolverService>,
     /// Use per-region compressibility for TCO costs (§9(ii) extension).
     pub content_aware: bool,
     cache_mode: PlanCacheMode,
@@ -103,7 +100,6 @@ impl AnalyticalModel {
             last_cost_ns: 0.0,
             last_iterations: 0,
             label: None,
-            service: None,
             content_aware: false,
             cache_mode: PlanCacheMode::default(),
             cache: PlanCache::default(),
@@ -165,6 +161,20 @@ impl AnalyticalModel {
     /// ([`ts_solver::mckp::cost`]).
     fn local_solve_ns(n_items: usize) -> f64 {
         ts_solver::mckp::cost::greedy_cold_ns(n_items)
+    }
+
+    /// Modeled network round trip of one remote solve, in ns: a fixed RPC
+    /// latency plus the request (one `(perf, tco)` pair of `f64`s per
+    /// candidate item) and the reply (one `u32` tier choice per region)
+    /// over the link. Like [`Self::local_solve_ns`] it depends on the
+    /// problem's shape alone, so remote runs are bit-reproducible too.
+    fn remote_round_trip_ns(n_regions: usize, n_items: usize) -> f64 {
+        /// One kernel-TCP request/response inside a datacenter.
+        const RPC_LATENCY_NS: f64 = 25_000.0;
+        /// A 10 Gbit/s link.
+        const LINK_BYTES_PER_NS: f64 = 1.25;
+        let bytes = 16 * n_items + 4 * n_regions;
+        RPC_LATENCY_NS + bytes as f64 / LINK_BYTES_PER_NS
     }
 
     /// Solve one window locally through the plan cache.
@@ -269,22 +279,20 @@ impl PlacementPolicy for AnalyticalModel {
     fn plan(&mut self, snapshot: &HotnessSnapshot, system: &TieredSystem) -> Vec<PlanEntry> {
         let hot = full_hotness(snapshot, system);
         let (problem, placements) = self.build_problem(&hot, system);
+        let n_items: usize = problem.groups.iter().map(Vec::len).sum();
         let solution = match self.site {
             SolverSite::Local => {
-                let n_items: usize = problem.groups.iter().map(Vec::len).sum();
                 self.last_cost_ns = Self::local_solve_ns(n_items);
                 self.solve_local(&hot, &problem)
             }
             SolverSite::Remote => {
-                // Ship the instance to the solver thread (the stand-in for a
-                // remote solver machine); block only for the round trip. The
-                // plan cache does not engage: the solver CPU runs elsewhere,
-                // so there is no local warm state to carry.
+                // The remote machine cold-solves the shipped instance; the
+                // plan cache does not engage, since the solver CPU runs
+                // elsewhere and leaves no local warm state to carry.
                 self.last_decision = PlanDecision::ColdSolve;
-                let service = self.service.get_or_insert_with(SolverService::spawn);
-                let out = service.solve(problem);
-                self.last_cost_ns = out.round_trip_ns;
-                out.result
+                self.last_cost_ns = Self::remote_round_trip_ns(problem.groups.len(), n_items);
+                problem
+                    .solve_greedy()
                     .expect("budget >= TCO_min by construction, so always feasible")
             }
         };
@@ -303,8 +311,7 @@ impl PlacementPolicy for AnalyticalModel {
 
     fn last_plan_cost_ns(&self) -> f64 {
         // Local: modeled solver CPU time (see local_solve_ns). Remote: the
-        // measured round trip (channel shipping + waiting; the solver CPU
-        // runs elsewhere, so reproducibility only binds the local site).
+        // modeled network round trip (see remote_round_trip_ns).
         self.last_cost_ns
     }
 
@@ -462,7 +469,7 @@ mod tests {
     }
 
     #[test]
-    fn solver_tax_measured_locally_small_remotely() {
+    fn solver_tax_modeled_locally_and_remotely() {
         let mut system = sim();
         let snap = window(&mut system, 100_000);
         let mut local = AnalyticalModel::am_tco();
@@ -472,7 +479,37 @@ mod tests {
         let mut remote = AnalyticalModel::am_tco().remote();
         remote.plan(&snap, &system);
         assert!(!remote.plan_cost_is_local());
-        assert!(remote.last_plan_cost_ns() > 0.0, "round trip is measured");
+        // The round trip is modeled, so a second model charges the same bits.
+        let mut again = AnalyticalModel::am_tco().remote();
+        again.plan(&snap, &system);
+        assert_eq!(
+            remote.last_plan_cost_ns().to_bits(),
+            again.last_plan_cost_ns().to_bits()
+        );
+        assert!(remote.last_plan_cost_ns() > local.last_plan_cost_ns());
+    }
+
+    #[test]
+    fn remote_matches_local() {
+        let mut system = sim();
+        let snaps: Vec<HotnessSnapshot> = (0..3).map(|_| window(&mut system, 80_000)).collect();
+        let regions = system.total_regions() as usize;
+        let items = regions * system.placements().len();
+        // 25 us of RPC latency, then 16 B per item out and 4 B per region
+        // back over 1.25 B/ns.
+        let round_trip = 25_000.0 + (16 * items + 4 * regions) as f64 / 1.25;
+        let mut local = AnalyticalModel::am_tco();
+        let mut remote = AnalyticalModel::am_tco().remote();
+        // The repeated snapshot makes the local model reuse its cached plan.
+        for snap in [&snaps[0], &snaps[1], &snaps[1], &snaps[2]] {
+            assert_eq!(local.plan(snap, &system), remote.plan(snap, &system));
+            assert_eq!(
+                local.last_solver_iterations(),
+                remote.last_solver_iterations()
+            );
+            assert_eq!(remote.last_plan_cost_ns().to_bits(), round_trip.to_bits());
+            assert_eq!(remote.last_plan_decision(), PlanDecision::ColdSolve);
+        }
     }
 
     #[test]

@@ -40,14 +40,6 @@ pub struct DaemonConfig {
     pub filter: MigrationFilter,
     /// Fig. 14's "Only-profiling" mode: sample but never plan or migrate.
     pub profile_only: bool,
-    /// Adaptive window tuning (§6.1 notes the window "may require tuning
-    /// based on application characteristics"): when enabled, a window that
-    /// migrated more than 1/4 of all regions doubles the next window (the
-    /// profile is too noisy to act on), and a window with no migrations
-    /// halves it (the placement converged; react faster to change). The
-    /// window stays within [1/4x, 4x] of the configured size; the total
-    /// access budget (`windows x window_accesses`) is preserved.
-    pub adaptive_window: bool,
     /// Threads that compute phase A (compression and decompression) of the
     /// migration engine that executes each window plan (1 runs it inline on
     /// the caller thread). The
@@ -84,7 +76,6 @@ impl Default for DaemonConfig {
             windows: 10,
             filter: MigrationFilter::default(),
             profile_only: false,
-            adaptive_window: false,
             migration_workers: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
@@ -112,7 +103,8 @@ pub struct WindowRecord {
     pub migrations: u64,
     /// Migration cost in ns (daemon tax).
     pub migration_cost_ns: f64,
-    /// Solver cost in ns (zero when remote or profile-only).
+    /// Solver cost in ns: the modeled local solve, or the modeled network
+    /// round trip when the solver is remote; zero when profile-only.
     pub solver_cost_ns: f64,
     /// Sum of cooled hotness over all regions (Fig. 9d trend).
     pub hotness_total: f64,
@@ -201,23 +193,19 @@ pub fn run_daemon(
     let mut filter_state = FilterState::default();
     let mut windows = Vec::with_capacity(cfg.windows as usize);
     let mut profiling_charged = 0.0f64;
-    let mut window_len = cfg.window_accesses;
-    let mut budget = cfg.windows.saturating_mul(cfg.window_accesses);
+    // A window with no accesses has nothing to profile, so none is recorded.
+    let window_count = if cfg.window_accesses == 0 {
+        0
+    } else {
+        cfg.windows
+    };
 
-    let mut w = 0u64;
-    while budget > 0 {
-        w += 1;
-        let this_window = if cfg.adaptive_window {
-            window_len.min(budget)
-        } else {
-            cfg.window_accesses.min(budget)
-        };
-        budget -= this_window;
+    for w in 1..=window_count {
         if let Some(obs) = system.obs_mut() {
             obs.set_window(w);
         }
         let t_profile = SpanTimer::new();
-        for _ in 0..this_window {
+        for _ in 0..cfg.window_accesses {
             let (access, _) = system.step();
             profiler.record(access.addr, access.is_store);
         }
@@ -233,7 +221,7 @@ pub fn run_daemon(
                 "daemon",
                 &t_profile,
                 prof_ns,
-                &[("accesses", this_window as f64)],
+                &[("accesses", cfg.window_accesses as f64)],
             );
         }
 
@@ -343,14 +331,6 @@ pub fn run_daemon(
             rec = system.placement_counts();
         }
 
-        if cfg.adaptive_window {
-            let quarter = (system.total_regions() / 4).max(1);
-            if migrations > quarter {
-                window_len = (window_len * 2).min(cfg.window_accesses * 4);
-            } else if migrations == 0 {
-                window_len = (window_len / 2).max(cfg.window_accesses / 4).max(1);
-            }
-        }
         let tier_faults = (0..system.config().compressed_tiers.len())
             .map(|i| system.tier_stats(i).faults)
             .collect();
@@ -552,38 +532,16 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_window_converges_when_placement_settles() {
-        // Gaussian keys: the cold tail is stable, so migrations dry up and
-        // the adaptive window shrinks toward its floor.
-        let w = WorkloadId::MemcachedMemtier1k.build(Scale(1.0 / 1024.0), 9);
-        let rss = w.rss_bytes();
-        let mut system =
-            TieredSystem::new(SimConfig::standard_mix(rss, Fidelity::Modeled, 9), w).unwrap();
+    fn zero_window_accesses_records_no_windows() {
+        let mut system = sim(9);
         let cfg = DaemonConfig {
-            windows: 8,
-            window_accesses: 40_000,
-            adaptive_window: true,
-            ..DaemonConfig::default()
+            window_accesses: 0,
+            ..quick_cfg()
         };
-        let report = run_daemon(&mut system, &mut AnalyticalModel::new(0.5), &cfg);
-        // The access budget is preserved regardless of window count.
-        assert_eq!(report.perf.accesses, 8 * 40_000);
-        // Later windows migrate little: the tuner must have produced more,
-        // shorter windows than the fixed schedule (or equal if it never
-        // stabilized — require at least the fixed count).
-        assert!(
-            report.windows.len() >= 8,
-            "adaptive windows: {}",
-            report.windows.len()
-        );
-        let late_migrations: u64 = report
-            .windows
-            .iter()
-            .rev()
-            .take(3)
-            .map(|w| w.migrations)
-            .sum();
-        assert!(late_migrations <= 6, "placement settles: {late_migrations}");
+        let report = run_daemon(&mut system, &mut AnalyticalModel::am_tco(), &cfg);
+        assert!(report.windows.is_empty());
+        assert_eq!(report.perf.accesses, 0);
+        assert_eq!(report.daemon_ns, 0.0);
     }
 
     #[test]

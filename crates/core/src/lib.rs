@@ -43,7 +43,6 @@ pub mod daemon;
 pub mod filter;
 pub mod policy;
 pub mod prefetch;
-pub mod remote;
 pub mod setup;
 pub mod tierselect;
 pub mod waterfall;
@@ -57,7 +56,6 @@ pub mod prelude {
         PlacementPolicy, PlanCacheMode, PlanDecision, PlanEntry, ThresholdPolicy,
     };
     pub use crate::prefetch::PrefetchingPolicy;
-    pub use crate::remote::SolverService;
     pub use crate::setup::SystemSetup;
     pub use crate::tierselect::{TempBucket, TierChoice, TierSelector, WorkloadProfile};
     pub use crate::waterfall::WaterfallModel;

@@ -124,6 +124,39 @@ pub trait PlacementPolicy: Send {
     }
 }
 
+/// A boxed policy is a policy, so wrappers such as
+/// [`crate::prefetch::PrefetchingPolicy`] take `Box<dyn PlacementPolicy>`.
+/// Every method forwards, so none falls back to the trait default.
+impl<P: PlacementPolicy + ?Sized> PlacementPolicy for Box<P> {
+    fn name(&self) -> String {
+        (**self).name()
+    }
+
+    fn plan(&mut self, snapshot: &HotnessSnapshot, system: &TieredSystem) -> Vec<PlanEntry> {
+        (**self).plan(snapshot, system)
+    }
+
+    fn last_plan_cost_ns(&self) -> f64 {
+        (**self).last_plan_cost_ns()
+    }
+
+    fn plan_cost_is_local(&self) -> bool {
+        (**self).plan_cost_is_local()
+    }
+
+    fn last_solver_iterations(&self) -> u64 {
+        (**self).last_solver_iterations()
+    }
+
+    fn set_plan_cache_mode(&mut self, mode: PlanCacheMode) {
+        (**self).set_plan_cache_mode(mode);
+    }
+
+    fn last_plan_decision(&self) -> PlanDecision {
+        (**self).last_plan_decision()
+    }
+}
+
 /// Hotness of every region (zero for never-sampled regions), plus the value
 /// at a given percentile. Policies share this to make thresholds cover the
 /// full address space, not only sampled regions.
@@ -269,6 +302,38 @@ mod tests {
                 .count()
         };
         assert!(count_slow(75.0) >= count_slow(25.0));
+    }
+
+    #[test]
+    fn boxed_policy_forwards_every_method() {
+        let mut system = sim();
+        let snap = snapshot_from(&mut system, 100_000);
+        let mut direct = crate::analytic::AnalyticalModel::am_tco().remote();
+        let boxed: Box<dyn PlacementPolicy> =
+            Box::new(crate::analytic::AnalyticalModel::am_tco().remote());
+        let mut wrapped = crate::prefetch::PrefetchingPolicy::new(boxed);
+        direct.plan(&snap, &system);
+        wrapped.plan(&snap, &system);
+        assert_eq!(wrapped.name(), "AM-TCO+PF");
+        assert_eq!(
+            wrapped.last_plan_cost_ns().to_bits(),
+            direct.last_plan_cost_ns().to_bits()
+        );
+        assert!(wrapped.last_plan_cost_ns() > 0.0);
+        assert_eq!(
+            wrapped.last_solver_iterations(),
+            direct.last_solver_iterations()
+        );
+        assert!(wrapped.last_solver_iterations() > 0);
+        assert!(!wrapped.plan_cost_is_local());
+        // Re-planning the same window locally reuses the cached plan, a
+        // decision the trait default never reports.
+        let mut local: Box<dyn PlacementPolicy> =
+            Box::new(crate::analytic::AnalyticalModel::am_tco());
+        local.set_plan_cache_mode(PlanCacheMode::Reuse);
+        local.plan(&snap, &system);
+        local.plan(&snap, &system);
+        assert_eq!(local.last_plan_decision(), PlanDecision::Reuse);
     }
 
     #[test]

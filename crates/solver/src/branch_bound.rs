@@ -33,32 +33,7 @@ const INT_EPS: f64 = 1e-6;
 /// [`SolverError::Infeasible`] when no integral assignment exists,
 /// [`SolverError::LimitExceeded`] past [`MAX_NODES`], or any LP error.
 pub fn solve_ilp(lp: &LinearProgram, integer_vars: &[usize]) -> Result<IlpSolution, SolverError> {
-    solve_ilp_with_incumbent(lp, integer_vars, None)
-}
-
-/// [`solve_ilp`] seeded with an incumbent assignment from a prior solve.
-///
-/// When a previous window's solution is still feasible for the perturbed
-/// program, passing it here installs its objective as the initial incumbent
-/// bound, so the search prunes from node one. An infeasible or non-integral
-/// seed is silently ignored — the result is always the true optimum, only
-/// the node count changes.
-///
-/// # Errors
-///
-/// See [`solve_ilp`].
-pub fn solve_ilp_with_incumbent(
-    lp: &LinearProgram,
-    integer_vars: &[usize],
-    incumbent: Option<&[f64]>,
-) -> Result<IlpSolution, SolverError> {
-    let mut best: Option<IlpSolution> = incumbent
-        .and_then(|x| validate_incumbent(lp, integer_vars, x))
-        .map(|objective| IlpSolution {
-            x: incumbent.expect("checked above").to_vec(),
-            objective,
-            nodes: 0,
-        });
+    let mut best: Option<IlpSolution> = None;
     let mut nodes = 0usize;
     // Depth-first stack of extra bound constraints (var, relation, rhs).
     let mut stack: Vec<Vec<(usize, Relation, f64)>> = vec![Vec::new()];
@@ -128,34 +103,6 @@ pub fn solve_ilp_with_incumbent(
     }
 }
 
-/// Check an incumbent seed against the program: right shape, non-negative,
-/// integral where required, and feasible for every constraint. Returns its
-/// objective value when usable, `None` otherwise.
-fn validate_incumbent(lp: &LinearProgram, integer_vars: &[usize], x: &[f64]) -> Option<f64> {
-    let n = lp.objective.len();
-    if x.len() != n || x.iter().any(|&v| !v.is_finite() || v < -INT_EPS) {
-        return None;
-    }
-    if integer_vars
-        .iter()
-        .any(|&v| v >= n || (x[v] - x[v].round()).abs() > INT_EPS)
-    {
-        return None;
-    }
-    for c in &lp.constraints {
-        let lhs: f64 = c.coeffs.iter().zip(x).map(|(a, v)| a * v).sum();
-        let ok = match c.relation {
-            Relation::Le => lhs <= c.rhs + 1e-7,
-            Relation::Ge => lhs >= c.rhs - 1e-7,
-            Relation::Eq => (lhs - c.rhs).abs() <= 1e-7,
-        };
-        if !ok {
-            return None;
-        }
-    }
-    Some(lp.objective.iter().zip(x).map(|(c, v)| c * v).sum())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,44 +167,5 @@ mod tests {
         let sol = solve_ilp(&lp, &[0, 1, 2, 3])
             .expect("pick-one-per-pair assignment ILP (weight cap 6) is feasible");
         assert!((sol.objective - 10.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn incumbent_seed_prunes_without_changing_the_optimum() {
-        let lp = LinearProgram::maximize(vec![10.0, 13.0, 7.0])
-            .constrain(vec![3.0, 4.0, 2.0], Relation::Le, 6.0)
-            .constrain(vec![1.0, 0.0, 0.0], Relation::Le, 1.0)
-            .constrain(vec![0.0, 1.0, 0.0], Relation::Le, 1.0)
-            .constrain(vec![0.0, 0.0, 1.0], Relation::Le, 1.0);
-        let cold = solve_ilp(&lp, &[0, 1, 2])
-            .expect("0/1 knapsack (3 items, capacity 6) has integral solutions");
-        // Seed with the optimum itself: equal objective, no extra branching.
-        let warm = solve_ilp_with_incumbent(&lp, &[0, 1, 2], Some(&cold.x))
-            .expect("re-solve seeded with the prior optimum succeeds");
-        assert!((warm.objective - cold.objective).abs() < 1e-9);
-        assert!(
-            warm.nodes <= cold.nodes,
-            "incumbent-seeded search expanded {} nodes vs cold {}",
-            warm.nodes,
-            cold.nodes
-        );
-        // Seed with a feasible but sub-optimal point: still the true optimum.
-        let sub = solve_ilp_with_incumbent(&lp, &[0, 1, 2], Some(&[1.0, 0.0, 1.0]))
-            .expect("re-solve seeded with a sub-optimal incumbent succeeds");
-        assert!((sub.objective - cold.objective).abs() < 1e-9);
-    }
-
-    #[test]
-    fn invalid_incumbents_are_ignored() {
-        let lp = LinearProgram::maximize(vec![1.0, 1.0])
-            .constrain(vec![1.0, 0.0], Relation::Le, 3.0)
-            .constrain(vec![0.0, 1.0], Relation::Le, 4.0);
-        // Wrong width, constraint-violating, and fractional seeds must all
-        // be dropped, leaving the cold result.
-        for seed in [vec![1.0], vec![9.0, 0.0], vec![0.5, 0.0]] {
-            let sol = solve_ilp_with_incumbent(&lp, &[0, 1], Some(&seed))
-                .expect("box ILP (x<=3, y<=4) has an integral LP relaxation");
-            assert!((sol.objective - 7.0).abs() < 1e-6);
-        }
     }
 }

@@ -50,11 +50,6 @@ pub struct LpSolution {
     /// phase 2. Deterministic under Bland's rule, so suitable for
     /// snapshot-diffed solver-effort metrics.
     pub pivots: u64,
-    /// The optimal basis: one column index per constraint row, over the
-    /// `[structural][slack/surplus][artificial]` column layout. Feed it to
-    /// [`LinearProgram::solve_with_basis`] to warm-start a re-solve of a
-    /// perturbed program with the same constraint shape.
-    pub basis: Vec<usize>,
 }
 
 const EPS: f64 = 1e-9;
@@ -113,59 +108,6 @@ impl LinearProgram {
                     // If none exists the row is all-zero (redundant): leave it.
                 }
             }
-        }
-        self.phase2(tab, pivots)
-    }
-
-    /// Solve with a prior basis as the warm start, skipping phase 1.
-    ///
-    /// `basis_hint` is the [`LpSolution::basis`] of a previous solve of a
-    /// program with the *same constraint shape* (same variable count, same
-    /// number and relations of constraints — only coefficients, objective or
-    /// right-hand sides perturbed). The hinted basis is pivoted in by
-    /// Gaussian elimination; if it is singular, references artificial
-    /// columns, or is primal-infeasible for the new program, the solver
-    /// falls back to a cold [`LinearProgram::solve`] — the result is always
-    /// the true optimum either way, typically in fewer pivots when the warm
-    /// start holds.
-    ///
-    /// # Errors
-    ///
-    /// See [`LinearProgram::solve`].
-    pub fn solve_with_basis(&self, basis_hint: &[usize]) -> Result<LpSolution, SolverError> {
-        let mut tab = self.build_tableau()?;
-        let m = tab.t.len();
-        let non_art = tab.n + tab.n_slack;
-        let mut seen = vec![false; tab.total];
-        let hint_ok = basis_hint.len() == m
-            && basis_hint.iter().all(|&c| {
-                let fresh = c < non_art && !seen[c];
-                if fresh {
-                    seen[c] = true;
-                }
-                fresh
-            });
-        if !hint_ok {
-            return self.solve();
-        }
-        // Pivot the hinted columns in, one per row (Gaussian elimination).
-        let mut pivots = 0u64;
-        let mut claimed = vec![false; m];
-        for &col in basis_hint {
-            if let Some(i) = (0..m).find(|&i| !claimed[i] && tab.basis[i] == col) {
-                claimed[i] = true; // Already basic in this row.
-                continue;
-            }
-            let Some(i) = (0..m).find(|&i| !claimed[i] && tab.t[i][col].abs() > EPS) else {
-                return self.solve(); // Singular under the new coefficients.
-            };
-            pivot(&mut tab.t, &mut tab.basis, i, col, tab.total);
-            pivots += 1;
-            claimed[i] = true;
-        }
-        // The basis must be primal-feasible to start phase 2 from it.
-        if tab.t.iter().any(|row| row[tab.total] < -EPS) {
-            return self.solve();
         }
         self.phase2(tab, pivots)
     }
@@ -276,7 +218,6 @@ impl LinearProgram {
             x,
             objective,
             pivots: setup_pivots + p2,
-            basis: tab.basis,
         })
     }
 }
@@ -519,85 +460,5 @@ mod tests {
             .expect("12-var box LP with one coupling Le constraint is feasible and bounded");
         assert!(sol.x.iter().all(|&v| (-1e-9..=1.0 + 1e-9).contains(&v)));
         assert!(sol.x.iter().sum::<f64>() <= n as f64 / 2.0 + 1e-6);
-    }
-
-    #[test]
-    fn warm_basis_matches_cold_objective_with_fewer_pivots() {
-        // Solve, perturb the rhs slightly, and re-solve from the prior basis.
-        // The perturbed optimum must match a cold solve; the warm start must
-        // not pivot more than cold does (same basis stays optimal here).
-        let base = LinearProgram::maximize(vec![3.0, 5.0])
-            .constrain(vec![1.0, 0.0], Relation::Le, 4.0)
-            .constrain(vec![0.0, 2.0], Relation::Le, 12.0)
-            .constrain(vec![3.0, 2.0], Relation::Le, 18.0);
-        let cold0 = base
-            .solve()
-            .expect("textbook max 3x+5y over three Le constraints is feasible and bounded");
-
-        let perturbed = LinearProgram::maximize(vec![3.0, 5.0])
-            .constrain(vec![1.0, 0.0], Relation::Le, 4.0)
-            .constrain(vec![0.0, 2.0], Relation::Le, 12.5)
-            .constrain(vec![3.0, 2.0], Relation::Le, 18.5);
-        let cold = perturbed
-            .solve()
-            .expect("rhs-perturbed textbook LP stays feasible and bounded");
-        let warm = perturbed
-            .solve_with_basis(&cold0.basis)
-            .expect("warm re-solve of rhs-perturbed textbook LP succeeds");
-        assert_close(warm.objective, cold.objective);
-        assert!(
-            warm.pivots <= cold.pivots,
-            "warm {} pivots vs cold {}",
-            warm.pivots,
-            cold.pivots
-        );
-    }
-
-    #[test]
-    fn warm_basis_falls_back_on_bad_hints() {
-        let lp = LinearProgram::maximize(vec![1.0, 1.0])
-            .constrain(vec![1.0, 1.0], Relation::Le, 10.0)
-            .constrain(vec![1.0, 0.0], Relation::Ge, 2.0)
-            .constrain(vec![0.0, 1.0], Relation::Eq, 3.0);
-        let cold = lp
-            .solve()
-            .expect("LP with x+y<=10, x>=2, y==3 is feasible (x=7, y=3)");
-        // Wrong length, duplicate columns, and artificial/out-of-range
-        // columns must all quietly fall back to the cold path.
-        for hint in [
-            vec![0usize],
-            vec![0, 0, 1],
-            vec![0, 1, 99],
-            vec![0, 1, 4], // column 4 is artificial (n=2, n_slack=2)
-        ] {
-            let warm = lp
-                .solve_with_basis(&hint)
-                .expect("fallback cold solve succeeds for any hint");
-            assert_close(warm.objective, cold.objective);
-        }
-    }
-
-    #[test]
-    fn warm_basis_falls_back_when_prior_basis_infeasible() {
-        // Prior optimum saturates x <= 8; shrinking the box to x <= 1 makes
-        // that basis primal-infeasible, so the warm path must fall back and
-        // still return the true optimum.
-        let wide = LinearProgram::maximize(vec![1.0])
-            .constrain(vec![1.0], Relation::Le, 8.0)
-            .constrain(vec![1.0], Relation::Ge, 0.5);
-        let prior = wide
-            .solve()
-            .expect("1-var LP with 0.5 <= x <= 8 is feasible");
-        let narrow = LinearProgram::maximize(vec![1.0])
-            .constrain(vec![1.0], Relation::Le, 1.0)
-            .constrain(vec![1.0], Relation::Ge, 0.5);
-        let cold = narrow
-            .solve()
-            .expect("1-var LP with 0.5 <= x <= 1 is feasible");
-        let warm = narrow
-            .solve_with_basis(&prior.basis)
-            .expect("warm re-solve falls back to cold when basis is infeasible");
-        assert_close(warm.objective, cold.objective);
-        assert_close(warm.objective, 1.0);
     }
 }

@@ -131,7 +131,7 @@ fn cmd_run(args: &Args) {
         }
     };
     let mut policy: Box<dyn PlacementPolicy> = if args.flag("--prefetch") {
-        Box::new(PrefetchingPolicy::new(BoxedPolicy(base)))
+        Box::new(PrefetchingPolicy::new(base))
     } else {
         base
     };
@@ -216,38 +216,6 @@ fn cmd_run(args: &Args) {
         if metrics_summary {
             println!("\n{}", obs.summary());
         }
-    }
-}
-
-/// Adapter: `PrefetchingPolicy<P>` needs `P: PlacementPolicy`, and a boxed
-/// trait object satisfies that through this newtype.
-struct BoxedPolicy(Box<dyn PlacementPolicy>);
-
-impl PlacementPolicy for BoxedPolicy {
-    fn name(&self) -> String {
-        self.0.name()
-    }
-    fn plan(
-        &mut self,
-        snapshot: &tierscape::telemetry::HotnessSnapshot,
-        system: &TieredSystem,
-    ) -> Vec<PlanEntry> {
-        self.0.plan(snapshot, system)
-    }
-    fn last_plan_cost_ns(&self) -> f64 {
-        self.0.last_plan_cost_ns()
-    }
-    fn plan_cost_is_local(&self) -> bool {
-        self.0.plan_cost_is_local()
-    }
-    fn last_solver_iterations(&self) -> u64 {
-        self.0.last_solver_iterations()
-    }
-    fn set_plan_cache_mode(&mut self, mode: PlanCacheMode) {
-        self.0.set_plan_cache_mode(mode);
-    }
-    fn last_plan_decision(&self) -> PlanDecision {
-        self.0.last_plan_decision()
     }
 }
 

@@ -181,6 +181,14 @@ fn analytical_identical_across_worker_counts_every_workload() {
         20_000,
         &WorkloadId::ALL,
     );
+    // The remote solver site charges a modeled round trip, never a host
+    // timing, so it is worker-invariant too.
+    assert_workers_invariant(
+        Fidelity::Modeled,
+        &|| Box::new(AnalyticalModel::am_tco().remote()),
+        20_000,
+        &WorkloadId::ALL,
+    );
 }
 
 #[test]
