@@ -61,7 +61,7 @@ fn bench_migration_paths(c: &mut Criterion) {
             .unwrap();
         b.iter(|| {
             let s = z.store(a, &page).expect("compressible");
-            let out = z.migrate_with_cost(a, t, s).expect("fast path");
+            let out = z.migrate(a, t, s, None).expect("fast path");
             assert!(out.fast_path);
             z.invalidate(t, out.stored).expect("live");
             black_box(out.cost_ns)
@@ -86,7 +86,7 @@ fn bench_migration_paths(c: &mut Criterion) {
             .unwrap();
         b.iter(|| {
             let s = z.store(a, &page).expect("compressible");
-            let out = z.migrate_with_cost(a, t, s).expect("slow path");
+            let out = z.migrate(a, t, s, None).expect("slow path");
             assert!(!out.fast_path);
             z.invalidate(t, out.stored).expect("live");
             black_box(out.cost_ns)

@@ -288,7 +288,7 @@ mod tests {
             tco_after < tco_before * 0.95,
             "tco {tco_before} -> {tco_after} should drop"
         );
-        assert!(s.compressed_pages() > 0);
+        assert!(s.tier_stats(1).pages > 0);
     }
 
     #[test]
@@ -420,7 +420,9 @@ mod tests {
 #[cfg(test)]
 mod writeback_tests {
     use super::*;
-    use ts_workloads::{Scale, WorkloadId};
+    use ts_mem::PAGE_SIZE;
+    use ts_workloads::colocate::CoLocated;
+    use ts_workloads::{PageClass, Scale, Workload, WorkloadId};
 
     fn limited_system(fidelity: Fidelity, limit: u64) -> TieredSystem {
         let w = WorkloadId::MemcachedMemtier1k.build(Scale::TEST, 7);
@@ -431,33 +433,88 @@ mod writeback_tests {
     }
 
     #[test]
-    fn pool_limit_triggers_writeback_modeled() {
-        let mut s = limited_system(Fidelity::Modeled, 256 << 10);
-        // Compress half the address space into CT-1: far beyond the limit.
-        let n = s.total_regions();
-        for r in n / 2..n {
-            let _ = s.migrate_region(r, Placement::Compressed(0));
+    fn pool_limit_triggers_writeback() {
+        for (fidelity, limit) in [(Fidelity::Modeled, 256 << 10), (Fidelity::Real, 128 << 10)] {
+            let mut s = limited_system(fidelity, limit);
+            // Compress the last regions into CT-2: far beyond the limit.
+            let n = s.total_regions();
+            for r in n - 2..n {
+                let _ = s.migrate_region(r, Placement::Compressed(1));
+            }
+            let pool = s.tier_pool_bytes(1);
+            assert!(pool <= limit, "{fidelity:?}: pool bounded: {pool}");
+            assert!(s.swapped_pages() > 0, "{fidelity:?}: excess went to swap");
+            assert_eq!(
+                s.tier_stats(1).writebacks,
+                s.swapped_pages(),
+                "{fidelity:?}"
+            );
         }
-        assert!(
-            s.tier_pool_bytes(0) <= 256 << 10,
-            "pool bounded: {}",
-            s.tier_pool_bytes(0)
-        );
-        assert!(s.swapped_pages() > 0, "excess went to swap");
-        assert!(s.tier_stats(0).writebacks > 0);
-        // Page accounting still closes.
-        assert_eq!(s.placement_counts().iter().sum::<u64>(), s.total_pages());
+    }
+
+    /// Whether accessing page `p` takes it off the swap device. The access
+    /// faults the page home, so each page can be probed once.
+    fn probe_swapped(s: &mut TieredSystem, p: u64) -> bool {
+        let before = s.swapped_pages();
+        s.access(p * PAGE_SIZE as u64, false);
+        s.swapped_pages() < before
     }
 
     #[test]
-    fn pool_limit_triggers_writeback_real() {
-        let mut s = limited_system(Fidelity::Real, 128 << 10);
-        let n = s.total_regions();
-        for r in n - 2..n {
-            let _ = s.migrate_region(r, Placement::Compressed(1));
+    fn writeback_evicts_oldest_first_and_skips_stale_entries() {
+        for fidelity in [Fidelity::Modeled, Fidelity::Real] {
+            let mut s = limited_system(fidelity, 64 << 10);
+            let n = s.total_regions();
+            let mut pages = (s.region_pages(n / 2).start..s.total_pages())
+                .filter(|&p| s.workload().page_class(p) != PageClass::Zero)
+                .collect::<Vec<_>>()
+                .into_iter();
+            // Store one page and fault it home: its writeback entry, the
+            // oldest, goes stale.
+            let stale = pages
+                .by_ref()
+                .find(|&p| s.migrate_page(p, Placement::Compressed(1)).is_ok())
+                .unwrap();
+            s.access(stale * PAGE_SIZE as u64, false);
+            let mut stored = Vec::new();
+            for p in pages {
+                if s.migrate_page(p, Placement::Compressed(1)).is_ok() {
+                    stored.push(p);
+                }
+                if s.swapped_pages() >= 4 {
+                    break;
+                }
+            }
+            assert_eq!(s.page_placement(stale), Placement::Dram, "{fidelity:?}");
+            let swapped: Vec<bool> = stored.iter().map(|&p| probe_swapped(&mut s, p)).collect();
+            let k = swapped.iter().take_while(|&&w| w).count();
+            assert!(
+                k >= 4 && !swapped[k..].contains(&true),
+                "{fidelity:?}: not oldest first: {swapped:?}"
+            );
         }
-        assert!(s.tier_pool_bytes(1) <= 128 << 10);
-        assert!(s.swapped_pages() > 0);
+    }
+
+    #[test]
+    fn same_filled_markers_are_never_written_back() {
+        // Markers hold no pool bytes: writing one back frees nothing.
+        for fidelity in [Fidelity::Modeled, Fidelity::Real] {
+            let kv = |seed| WorkloadId::MemcachedYcsb.build(Scale::TEST, seed);
+            let w = Box::new(CoLocated::equal(vec![kv(7), kv(8)]));
+            let cfg = SimConfig::standard_mix(w.rss_bytes(), fidelity, 7).with_pool_limit(64 << 10);
+            let mut s = TieredSystem::new(cfg, w).unwrap();
+            for r in 0..s.total_regions() {
+                s.migrate_region(r, Placement::Compressed(0));
+            }
+            assert!(s.swapped_pages() > 0, "{fidelity:?}: no writeback");
+            let markers: Vec<u64> = (0..s.total_pages())
+                .filter(|&p| s.workload().page_class(p) == PageClass::Zero)
+                .collect();
+            assert!(!markers.is_empty());
+            for p in markers {
+                assert!(!probe_swapped(&mut s, p), "{fidelity:?}: page {p}");
+            }
+        }
     }
 
     #[test]
@@ -469,26 +526,14 @@ mod writeback_tests {
         }
         let swapped_before = s.swapped_pages();
         assert!(swapped_before > 0);
-        // Touch a page that is on swap.
-        let victim = (0..s.total_pages())
-            .find(|&p| {
-                matches!(s.page_placement(p), Placement::Compressed(1)) && {
-                    // Swapped pages report their origin tier; use counts to
-                    // find one: touch until swap count drops.
-                    true
-                }
+        // Touch pages until one comes off the swap device.
+        let lat = (0..s.total_pages())
+            .find_map(|p| {
+                let lat = s.access(p * PAGE_SIZE as u64, false);
+                (s.swapped_pages() < swapped_before).then_some(lat)
             })
-            .unwrap();
-        let mut dropped = false;
-        for p in victim..s.total_pages() {
-            let lat = s.access(p * 4096, false);
-            if s.swapped_pages() < swapped_before {
-                assert!(lat > 50_000.0, "swap fault pays device I/O: {lat}");
-                dropped = true;
-                break;
-            }
-        }
-        assert!(dropped, "some access hit the swap device");
+            .expect("some access hit the swap device");
+        assert!(lat > 50_000.0, "swap fault pays device I/O: {lat}");
         assert!(s.swap_faults > 0);
     }
 

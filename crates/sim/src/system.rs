@@ -140,6 +140,18 @@ struct PlanPage {
     disposition: Disposition,
 }
 
+/// How [`TieredSystem::detach`] releases a compressed page's zswap entry.
+#[derive(Debug, Clone, Copy)]
+enum Release {
+    /// Decode and free it: a fault, or a move nothing decoded yet.
+    Load,
+    /// Free it without decoding: phase A already decoded it, or
+    /// writeback already read its bytes.
+    Invalidate,
+    /// Nothing left to free: the zswap migration released it.
+    Released,
+}
+
 /// Modeled cost of one page move in ns, kept in parts: the serial path
 /// and the batched cost model each sum them in their own fixed order, so
 /// every charged nanosecond is reproducible bit for bit.
@@ -578,11 +590,6 @@ impl TieredSystem {
         1u64 << (self.cfg.region_shift - ts_mem::PAGE_SHIFT)
     }
 
-    /// Region id of a page under the configured granularity (2 MiB default).
-    pub fn region_of_page(&self, vpage: u64) -> u64 {
-        vpage >> (self.cfg.region_shift - ts_mem::PAGE_SHIFT)
-    }
-
     /// Number of regions.
     pub fn total_regions(&self) -> u64 {
         (self.pages.len() as u64).div_ceil(self.pages_per_region())
@@ -833,16 +840,20 @@ impl TieredSystem {
                     s.read_latency_ns
                 }
             }
-            Residency::Compressed {
-                tier,
-                comp_len,
-                stored,
-            } => self.fault_in(vpage, tier as usize, comp_len, stored),
-            Residency::Swapped {
-                comp_len,
-                slot,
-                origin_tier,
-            } => self.swap_fault_in(vpage, comp_len, slot, origin_tier as usize),
+            // Fault path: decompress (or read off swap and decompress) and
+            // land the page, at Eq. 5's `Lat_CT + Lat_TD`.
+            faulted => {
+                let lat = self.detach(vpage, Release::Load);
+                match faulted {
+                    Residency::Compressed { tier, .. } => {
+                        self.tier_stats[tier as usize].faults += 1
+                    }
+                    _ => self.swap_faults += 1,
+                }
+                let (landing, land_lat) = self.land_faulted();
+                self.attach(vpage, landing);
+                lat + land_lat
+            }
         };
         let lat = mem_lat + self.cfg.compute_ns_per_access;
         self.accesses += 1;
@@ -852,94 +863,132 @@ impl TieredSystem {
         lat
     }
 
-    /// Fault path: decompress and place the page in DRAM (or the first byte
-    /// tier with room when DRAM is full — §6.5).
-    fn fault_in(
-        &mut self,
-        vpage: u64,
-        tier: usize,
-        comp_len: u32,
-        stored: Option<StoredPage>,
-    ) -> f64 {
-        // Invalidate in the tier.
-        if let (Some(z), Some(s)) = (self.zswap.as_mut(), stored) {
-            let id = self.zswap_ids[tier];
-            // Real decompression (result discarded: content is regenerable).
-            let _ = z.load(id, s).expect("stored page is live");
-        }
-        let st = &mut self.tier_stats[tier];
-        st.pages -= 1;
-        st.comp_bytes -= comp_len as u64;
-        st.faults += 1;
-        if self.zswap.is_none() {
-            st.pool_bytes_modeled = st.pool_bytes_modeled.saturating_sub(Self::pool_share(
-                self.cfg.compressed_tiers[tier].pool,
-                comp_len,
-            ));
-        }
-        // Decompression + landing-tier access (Eq. 5). Same-filled pages
-        // (comp_len 0) reconstruct with a memset.
-        let tcfg = &self.cfg.compressed_tiers[tier];
-        let lat = if comp_len == 0 {
-            ts_zswap::tier::SAME_FILLED_FAULT_NS
-        } else {
-            tcfg.decompress_latency_ns() + tcfg.media.default_spec().stream_ns(comp_len as u64)
-        };
-        lat + self.land_faulted(vpage)
-    }
-
-    /// Land a faulted page in DRAM, or in the first byte tier with room
+    /// Where a faulted page lands: DRAM, or the first byte tier with room
     /// when DRAM is full (§6.5), overcommitting DRAM when none has room.
-    /// Returns the landing tier's read latency.
-    fn land_faulted(&mut self, vpage: u64) -> f64 {
+    /// Returns the landing residency and its read latency.
+    fn land_faulted(&mut self) -> (Residency, f64) {
         if self.dram_used_bytes() + (PAGE_SIZE as u64) > self.cfg.dram_bytes {
             for (i, &(_, cap)) in self.cfg.byte_tiers.iter().enumerate() {
                 if (self.resident[1 + i] + 1) * PAGE_SIZE as u64 <= cap {
-                    self.pages[vpage as usize] = Residency::Byte(i as u16);
-                    self.resident[1 + i] += 1;
-                    return self.byte_specs[i].read_latency_ns;
+                    return (
+                        Residency::Byte(i as u16),
+                        self.byte_specs[i].read_latency_ns,
+                    );
                 }
             }
             // Overcommit DRAM (tracked; real systems would reclaim).
             self.dram_overflow_faults += 1;
         }
-        self.pages[vpage as usize] = Residency::Dram;
-        self.resident[0] += 1;
-        self.dram_spec.read_latency_ns
+        (Residency::Dram, self.dram_spec.read_latency_ns)
     }
 
-    /// Swap-in path: read the compressed object from the swap device,
-    /// decompress it, and place the page like a compressed-tier fault.
-    fn swap_fault_in(
-        &mut self,
-        vpage: u64,
-        comp_len: u32,
-        slot: Option<ts_zswap::SwapSlot>,
-        origin_tier: usize,
-    ) -> f64 {
-        if let Some(slot) = slot {
-            // Real fidelity: the bytes really come off the device.
-            let bytes = self.swap.read(slot).expect("slot is live");
-            let mut out = Vec::with_capacity(PAGE_SIZE);
-            self.cfg.compressed_tiers[origin_tier]
-                .algorithm
-                .codec()
-                .decompress(&bytes, &mut out)
-                .expect("swap holds valid compressed data");
+    /// Take page `vpage` out of its current residency: release its zswap
+    /// entry as `release` says (a swapped page is always read off the
+    /// device and, in `Real` fidelity, decoded) and decrement the counters
+    /// it occupied. Returns the cost of reading the page out.
+    fn detach(&mut self, vpage: u64, release: Release) -> f64 {
+        match self.pages[vpage as usize] {
+            Residency::Dram => {
+                self.resident[0] -= 1;
+                self.dram_spec.stream_ns(PAGE_SIZE as u64)
+            }
+            Residency::Byte(i) => {
+                self.resident[1 + i as usize] -= 1;
+                self.byte_specs[i as usize].stream_ns(PAGE_SIZE as u64)
+            }
+            Residency::Swapped {
+                comp_len,
+                slot,
+                origin_tier,
+            } => {
+                let t = &self.cfg.compressed_tiers[origin_tier as usize];
+                if let Some(slot) = slot {
+                    // Real fidelity: the bytes really come off the device.
+                    let bytes = self.swap.read(slot).expect("slot is live");
+                    let mut out = Vec::with_capacity(PAGE_SIZE);
+                    t.algorithm
+                        .codec()
+                        .decompress(&bytes, &mut out)
+                        .expect("swap holds valid compressed data");
+                }
+                self.swap_pages -= 1;
+                self.swap_bytes -= comp_len as u64;
+                SwapDevice::READ_NS + t.decompress_latency_ns()
+            }
+            Residency::Compressed {
+                tier,
+                comp_len,
+                stored,
+            } => {
+                if let (Some(z), Some(s)) = (self.zswap.as_mut(), stored) {
+                    let id = self.zswap_ids[tier as usize];
+                    match release {
+                        // The content is regenerable: the decoded bytes are
+                        // dropped.
+                        Release::Load => drop(z.load(id, s).expect("stored page is live")),
+                        Release::Invalidate => z.invalidate(id, s).expect("stored page is live"),
+                        Release::Released => {}
+                    }
+                }
+                let t = &self.cfg.compressed_tiers[tier as usize];
+                let st = &mut self.tier_stats[tier as usize];
+                st.pages -= 1;
+                st.comp_bytes -= comp_len as u64;
+                if self.zswap.is_none() {
+                    st.pool_bytes_modeled -= Self::pool_share(t.pool, comp_len);
+                }
+                // Same-filled pages (comp_len 0) reconstruct with a memset.
+                if comp_len == 0 {
+                    ts_zswap::tier::SAME_FILLED_FAULT_NS
+                } else {
+                    t.decompress_latency_ns() + t.media.default_spec().stream_ns(comp_len as u64)
+                }
+            }
         }
-        self.swap_pages -= 1;
-        self.swap_bytes -= comp_len as u64;
-        self.swap_faults += 1;
-        let tcfg = &self.cfg.compressed_tiers[origin_tier];
-        let lat = SwapDevice::READ_NS + tcfg.decompress_latency_ns();
-        lat + self.land_faulted(vpage)
+    }
+
+    /// Put page `vpage` in `residency` and increment the counters it
+    /// occupies. A compressed page of a pool-limited tier also becomes a
+    /// writeback candidate, unless it is a same-filled marker (no pool
+    /// bytes to free); returns the writeback cost that limit then costs.
+    fn attach(&mut self, vpage: u64, residency: Residency) -> f64 {
+        self.pages[vpage as usize] = residency;
+        match residency {
+            Residency::Dram => self.resident[0] += 1,
+            Residency::Byte(i) => self.resident[1 + i as usize] += 1,
+            Residency::Swapped { comp_len, .. } => {
+                self.swap_pages += 1;
+                self.swap_bytes += comp_len as u64;
+            }
+            Residency::Compressed { tier, comp_len, .. } => {
+                let t = tier as usize;
+                let st = &mut self.tier_stats[t];
+                st.pages += 1;
+                st.comp_bytes += comp_len as u64;
+                st.stores += 1;
+                if self.zswap.is_none() {
+                    st.pool_bytes_modeled +=
+                        Self::pool_share(self.cfg.compressed_tiers[t].pool, comp_len);
+                }
+                if comp_len > 0 && self.pool_limit(t).is_some() {
+                    self.wb_order[t].push_back(vpage);
+                    return self.enforce_pool_limit(t);
+                }
+            }
+        }
+        0.0
+    }
+
+    /// Compressed tier `t`'s pool limit, if it has one.
+    fn pool_limit(&self, t: usize) -> Option<u64> {
+        self.cfg.pool_limits.get(t).copied().flatten()
     }
 
     /// Enforce tier `t`'s pool limit by writing the oldest compressed pages
     /// back to the swap device (kernel zswap's `max_pool_percent` behaviour).
     /// Returns the writeback cost in ns (daemon tax).
     fn enforce_pool_limit(&mut self, t: usize) -> f64 {
-        let Some(&Some(limit)) = self.cfg.pool_limits.get(t).map(|l| l as &Option<u64>) else {
+        let Some(limit) = self.pool_limit(t) else {
             return 0.0;
         };
         let mut cost = 0.0;
@@ -959,40 +1008,30 @@ impl TieredSystem {
             if tier as usize != t {
                 continue;
             }
-            let slot = match (self.zswap.as_mut(), stored) {
+            let slot = match (&self.zswap, stored) {
                 (Some(z), Some(sp)) => {
-                    let id = self.zswap_ids[t];
                     // Residency says compressed, but if the zswap entry is
                     // gone (stale handle) skip the victim instead of
                     // panicking; the loop tries the next-oldest page.
-                    let bytes = match z.tier(id).ok().and_then(|tr| tr.peek_compressed(sp).ok()) {
-                        Some(b) => b,
-                        None => continue,
-                    };
-                    if z.invalidate(id, sp).is_err() {
+                    let tier = z.tier(self.zswap_ids[t]).ok();
+                    let Some(bytes) = tier.and_then(|tr| tr.peek_compressed(sp).ok()) else {
                         continue;
-                    }
+                    };
                     Some(self.swap.write(bytes))
                 }
                 _ => None,
             };
-            let st = &mut self.tier_stats[t];
-            st.pages -= 1;
-            st.comp_bytes -= comp_len as u64;
-            st.writebacks += 1;
-            if self.zswap.is_none() {
-                st.pool_bytes_modeled = st.pool_bytes_modeled.saturating_sub(Self::pool_share(
-                    self.cfg.compressed_tiers[t].pool,
+            self.detach(victim, Release::Invalidate);
+            self.tier_stats[t].writebacks += 1;
+            let origin_tier = t as u16;
+            self.attach(
+                victim,
+                Residency::Swapped {
                     comp_len,
-                ));
-            }
-            self.swap_pages += 1;
-            self.swap_bytes += comp_len as u64;
-            self.pages[victim as usize] = Residency::Swapped {
-                comp_len,
-                slot,
-                origin_tier: t as u16,
-            };
+                    slot,
+                    origin_tier,
+                },
+            );
             cost += self.cfg.compressed_tiers[t]
                 .media
                 .default_spec()
@@ -1057,26 +1096,35 @@ impl TieredSystem {
     ) -> SimResult<MoveCost> {
         let t = match dest {
             Placement::Dram | Placement::ByteTier(_) => {
-                let decoded = matches!(prepared, Prepared::Decoded);
-                let out = self.remove_from_current(vpage, decoded);
+                let release = match prepared {
+                    Prepared::Decoded => Release::Invalidate,
+                    Prepared::Nothing | Prepared::Compressed(_) => Release::Load,
+                };
+                let out = self.detach(vpage, release);
+                let (landing, spec) = match dest {
+                    Placement::ByteTier(i) => (Residency::Byte(i as u16), &self.byte_specs[i]),
+                    _ => (Residency::Dram, &self.dram_spec),
+                };
+                let stream_in = spec.stream_ns(PAGE_SIZE as u64);
+                self.attach(vpage, landing);
                 return Ok(MoveCost {
                     out,
-                    stream_in: self.place_byte(vpage, dest),
+                    stream_in,
                     ..MoveCost::default()
                 });
             }
             Placement::Compressed(t) => t,
         };
         // Compressed-to-compressed uses the zswap migration path.
-        let Residency::Compressed {
-            tier: from,
-            stored: Some(s),
-            comp_len,
-        } = self.pages[vpage as usize]
+        let (
+            Residency::Compressed {
+                tier: from,
+                stored: Some(s),
+                ..
+            },
+            Some(z),
+        ) = (self.pages[vpage as usize], self.zswap.as_mut())
         else {
-            return self.compress_into(vpage, t, prepared);
-        };
-        let Some(z) = self.zswap.as_mut() else {
             return self.compress_into(vpage, t, prepared);
         };
         let recompressed = match prepared {
@@ -1084,28 +1132,19 @@ impl TieredSystem {
             Prepared::Nothing | Prepared::Decoded => None,
         };
         let (from_id, to_id) = (self.zswap_ids[from as usize], self.zswap_ids[t]);
-        let out = match z.migrate_prepared(from_id, to_id, s, recompressed) {
+        let out = match z.migrate(from_id, to_id, s, recompressed) {
             Ok(out) => out,
             Err(e) => return Err(self.store_error(t, e)),
         };
-        let fs = &mut self.tier_stats[from as usize];
-        fs.pages -= 1;
-        fs.comp_bytes -= comp_len as u64;
-        let ts = &mut self.tier_stats[t];
-        ts.pages += 1;
-        ts.comp_bytes += out.stored.compressed_len as u64;
-        ts.stores += 1;
-        self.pages[vpage as usize] = Residency::Compressed {
+        self.detach(vpage, Release::Released);
+        let landing = Residency::Compressed {
             tier: t as u16,
             comp_len: out.stored.compressed_len as u32,
             stored: Some(out.stored),
         };
-        // The page is now a writeback candidate in its new tier, whose
-        // pool limit must still hold.
-        self.wb_order[t].push_back(vpage);
         Ok(MoveCost {
             out: out.cost_ns,
-            writeback: self.enforce_pool_limit(t),
+            writeback: self.attach(vpage, landing),
             ..MoveCost::default()
         })
     }
@@ -1127,81 +1166,6 @@ impl TieredSystem {
                 SimError::Tier(TierError::PoolExhausted)
             }
             e => SimError::Zswap(e),
-        }
-    }
-
-    /// Remove a page from its current residency, returning the read-out
-    /// cost. `decoded` says phase A already decompressed a compressed
-    /// source, so it is only released here.
-    fn remove_from_current(&mut self, vpage: u64, decoded: bool) -> f64 {
-        match self.pages[vpage as usize] {
-            Residency::Dram => {
-                self.resident[0] -= 1;
-                self.dram_spec.stream_ns(PAGE_SIZE as u64)
-            }
-            Residency::Byte(i) => {
-                self.resident[1 + i as usize] -= 1;
-                self.byte_specs[i as usize].stream_ns(PAGE_SIZE as u64)
-            }
-            Residency::Swapped {
-                comp_len,
-                slot,
-                origin_tier,
-            } => {
-                if let Some(slot) = slot {
-                    let _ = self.swap.read(slot).expect("slot is live");
-                }
-                self.swap_pages -= 1;
-                self.swap_bytes -= comp_len as u64;
-                let t = &self.cfg.compressed_tiers[origin_tier as usize];
-                SwapDevice::READ_NS + t.decompress_latency_ns()
-            }
-            Residency::Compressed {
-                tier,
-                comp_len,
-                stored,
-            } => {
-                if let (Some(z), Some(s)) = (self.zswap.as_mut(), stored) {
-                    let id = self.zswap_ids[tier as usize];
-                    if decoded {
-                        z.invalidate(id, s).expect("stored page is live");
-                    } else {
-                        let _ = z.load(id, s).expect("stored page is live");
-                    }
-                }
-                let st = &mut self.tier_stats[tier as usize];
-                st.pages -= 1;
-                st.comp_bytes -= comp_len as u64;
-                if self.zswap.is_none() {
-                    st.pool_bytes_modeled = st.pool_bytes_modeled.saturating_sub(Self::pool_share(
-                        self.cfg.compressed_tiers[tier as usize].pool,
-                        comp_len,
-                    ));
-                }
-                let t = &self.cfg.compressed_tiers[tier as usize];
-                if comp_len == 0 {
-                    ts_zswap::tier::SAME_FILLED_FAULT_NS
-                } else {
-                    t.decompress_latency_ns() + t.media.default_spec().stream_ns(comp_len as u64)
-                }
-            }
-        }
-    }
-
-    /// Place a (already removed) page into DRAM or a byte tier.
-    fn place_byte(&mut self, vpage: u64, dest: Placement) -> f64 {
-        match dest {
-            Placement::Dram => {
-                self.pages[vpage as usize] = Residency::Dram;
-                self.resident[0] += 1;
-                self.dram_spec.stream_ns(PAGE_SIZE as u64)
-            }
-            Placement::ByteTier(i) => {
-                self.pages[vpage as usize] = Residency::Byte(i as u16);
-                self.resident[1 + i] += 1;
-                self.byte_specs[i].stream_ns(PAGE_SIZE as u64)
-            }
-            Placement::Compressed(_) => unreachable!("byte placement only"),
         }
     }
 
@@ -1261,21 +1225,13 @@ impl TieredSystem {
             }
         };
         // Only detach from the source once the compression side committed.
-        let out = self.remove_from_current(vpage, false);
-        let st = &mut self.tier_stats[t];
-        st.pages += 1;
-        st.comp_bytes += comp_len as u64;
-        st.stores += 1;
-        if self.zswap.is_none() {
-            st.pool_bytes_modeled += Self::pool_share(self.cfg.compressed_tiers[t].pool, comp_len);
-        }
-        self.pages[vpage as usize] = Residency::Compressed {
+        let out = self.detach(vpage, Release::Load);
+        let landing = Residency::Compressed {
             tier: t as u16,
             comp_len,
             stored,
         };
-        self.wb_order[t].push_back(vpage);
-        let writeback = self.enforce_pool_limit(t);
+        let writeback = self.attach(vpage, landing);
         let tcfg = &self.cfg.compressed_tiers[t];
         Ok(MoveCost {
             out,
@@ -1688,16 +1644,6 @@ impl TieredSystem {
             savings: 1.0 - tco_avg / tco_max,
         }
     }
-
-    /// Region hotness helper: total pages currently compressed anywhere.
-    pub fn compressed_pages(&self) -> u64 {
-        self.tier_stats.iter().map(|s| s.pages).sum()
-    }
-
-    /// Mutable access to the workload (e.g. to drive phases in tests).
-    pub fn workload_mut(&mut self) -> &mut dyn Workload {
-        self.workload.as_mut()
-    }
 }
 
 impl std::fmt::Debug for TieredSystem {
@@ -1707,5 +1653,135 @@ impl std::fmt::Debug for TieredSystem {
             .field("resident", &self.resident)
             .field("accesses", &self.accesses)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use ts_workloads::colocate::CoLocated;
+    use ts_workloads::{Scale, WorkloadId};
+
+    /// Recount `resident`, each tier's pages, compressed bytes and
+    /// modeled pool bytes, and the swapped pages and bytes from the page
+    /// table alone, and assert the incremental counters agree.
+    fn assert_counters_match_page_table(s: &TieredSystem, label: &str) {
+        let mut resident = vec![0; s.resident.len()];
+        let mut tiers = vec![SimTierStats::default(); s.tier_stats.len()];
+        let mut swap = (0, 0);
+        for &r in &s.pages {
+            match r {
+                Residency::Dram => resident[0] += 1,
+                Residency::Byte(i) => resident[1 + i as usize] += 1,
+                Residency::Compressed { tier, comp_len, .. } => {
+                    let t = &mut tiers[tier as usize];
+                    t.pages += 1;
+                    t.comp_bytes += comp_len as u64;
+                    if s.zswap.is_none() {
+                        let pool = s.cfg.compressed_tiers[tier as usize].pool;
+                        t.pool_bytes_modeled += TieredSystem::pool_share(pool, comp_len);
+                    }
+                }
+                Residency::Swapped { comp_len, .. } => {
+                    swap = (swap.0 + 1, swap.1 + comp_len as u64)
+                }
+            }
+        }
+        assert_eq!(resident, s.resident, "{label}");
+        for (t, (a, b)) in tiers.iter().zip(&s.tier_stats).enumerate() {
+            let counted = (a.pages, a.comp_bytes, a.pool_bytes_modeled);
+            assert_eq!(
+                counted,
+                (b.pages, b.comp_bytes, b.pool_bytes_modeled),
+                "{label}: tier {t}"
+            );
+        }
+        assert_eq!(swap, (s.swap_pages, s.swap_bytes), "{label}");
+        // In `Real` fidelity, zswap and the swap device agree too.
+        if let Some(z) = &s.zswap {
+            for (t, tier) in z.tiers().iter().enumerate() {
+                assert_eq!(
+                    tier.stats().pages,
+                    s.tier_stats[t].pages,
+                    "{label}: zswap tier {t}"
+                );
+            }
+            assert_eq!(s.swap.used_bytes(), s.swap_bytes, "{label}: swap device");
+        }
+    }
+
+    /// memcached-ycsb, or two of it co-located, on the standard mix.
+    fn system(fidelity: Fidelity, limited: bool, colocated: bool, seed: u64) -> TieredSystem {
+        let kv = |seed| WorkloadId::MemcachedYcsb.build(Scale::TEST, seed);
+        let w: Box<dyn Workload> = if colocated {
+            Box::new(CoLocated::equal(vec![kv(seed), kv(seed + 1)]))
+        } else {
+            kv(seed)
+        };
+        let mut cfg = SimConfig::standard_mix(w.rss_bytes(), fidelity, seed);
+        if limited {
+            cfg = cfg.with_pool_limit(64 << 10);
+        }
+        TieredSystem::new(cfg, w).expect("valid configuration")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3))]
+
+        /// Every residency counter equals a recount of the page table after
+        /// every access burst, plan and region migration, in both
+        /// fidelities, with and without pool limits.
+        #[test]
+        fn counters_match_a_recount_of_the_page_table(
+            ops in collection::vec((0u8..4, any::<u64>()), 6..12),
+        ) {
+            for setup in 0..8u64 {
+                let fidelity = if setup & 1 == 0 { Fidelity::Modeled } else { Fidelity::Real };
+                let mut s = system(fidelity, setup & 2 != 0, setup & 4 != 0, setup);
+                let placements = s.placements();
+                let regions = s.total_regions();
+                for (i, &(op, x)) in ops.iter().enumerate() {
+                    match op {
+                        0 => {
+                            for _ in 0..500 {
+                                s.step();
+                            }
+                        }
+                        1 => {
+                            for k in 0..64 {
+                                let addr = x.wrapping_mul(k + 1).rotate_left(k as u32);
+                                s.access(addr % (s.total_pages() * PAGE_SIZE as u64), k % 3 == 0);
+                            }
+                        }
+                        2 => {
+                            let plan: Vec<PlannedMove> = (0..regions)
+                                .filter(|r| (x >> (r % 64)) & 1 == 1)
+                                .map(|r| PlannedMove {
+                                    region: r,
+                                    dest: placements[((x ^ r) % placements.len() as u64) as usize],
+                                })
+                                .collect();
+                            s.execute_plan(&plan, if x & 1 == 0 { 1 } else { 4 });
+                        }
+                        _ => {
+                            let dest = placements[(x % placements.len() as u64) as usize];
+                            s.migrate_region((x >> 8) % regions, dest);
+                        }
+                    }
+                    assert_counters_match_page_table(&s, &format!("setup {setup}, op {i}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn no_writeback_queue_without_a_pool_limit() {
+        let mut s = system(Fidelity::Real, false, false, 3);
+        for r in 0..s.total_regions() {
+            s.migrate_region(r, Placement::Compressed(0));
+        }
+        assert!(s.tier_stats(0).stores > 0);
+        assert!(s.wb_order.iter().all(|q| q.is_empty()));
     }
 }

@@ -37,20 +37,20 @@
 //!
 //! let page = vec![42u8; 4096];
 //! let stored = zswap.store(ct1, &page).unwrap();
-//! let moved = zswap.migrate(ct1, ct2, stored).unwrap();
-//! let restored = zswap.load(ct2, moved).unwrap();
+//! let moved = zswap.migrate(ct1, ct2, stored, None).unwrap();
+//! let restored = zswap.load(ct2, moved.stored).unwrap();
 //! assert_eq!(restored, page);
 //! ```
 
 pub mod config;
+pub mod swap;
 pub mod tier;
-pub mod writeback;
 
 pub use config::{
     algo_compress_ns, algo_decompress_ns, algo_nominal_ratio, media_factor, TierConfig,
 };
+pub use swap::{SwapDevice, SwapSlot};
 pub use tier::{Compressed, CompressedTier, StoredPage, TierId, TierStats};
-pub use writeback::{SwapDevice, SwapSlot, WritebackEvent, WritebackQueue};
 
 use std::sync::Arc;
 use ts_compress::CodecError;
@@ -202,43 +202,6 @@ impl ZswapSubsystem {
         self.tier_mut(id)?.invalidate(stored)
     }
 
-    /// Migrate a page between two compressed tiers.
-    ///
-    /// Uses the same-algorithm fast path when possible (§7.1: "this can be
-    /// further optimized by skipping the decompression step if the source
-    /// and destination tiers use the same compression algorithm" — we
-    /// implement that optimization); otherwise decompresses from the source
-    /// and recompresses into the destination.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pool/codec errors; [`ZswapError::Incompressible`] cannot
-    /// occur on the fast path but can on the recompress path (the caller
-    /// should then place the page back uncompressed). On error the source
-    /// page is left intact.
-    pub fn migrate(
-        &mut self,
-        from: TierId,
-        to: TierId,
-        stored: StoredPage,
-    ) -> ZswapResult<StoredPage> {
-        Ok(self.migrate_with_cost(from, to, stored)?.stored)
-    }
-
-    /// Like [`ZswapSubsystem::migrate`] but also reports path and cost.
-    ///
-    /// # Errors
-    ///
-    /// See [`ZswapSubsystem::migrate`].
-    pub fn migrate_with_cost(
-        &mut self,
-        from: TierId,
-        to: TierId,
-        stored: StoredPage,
-    ) -> ZswapResult<MigrationOutcome> {
-        self.migrate_prepared(from, to, stored, None)
-    }
-
     /// The pure half of a recompressing migration: decompress `stored`
     /// from tier `from` and compress it with tier `to`'s codec.
     ///
@@ -256,16 +219,24 @@ impl ZswapSubsystem {
         Ok(to.compress(&page))
     }
 
-    /// [`ZswapSubsystem::migrate_with_cost`] with the recompress path's
-    /// pure half already done: `recompressed` is
-    /// [`ZswapSubsystem::recompress`]'s output for this page, or `None` to
-    /// compute it here. Ignored on the same-algorithm fast path, which
-    /// copies compressed bytes.
+    /// Migrate a page between two compressed tiers.
+    ///
+    /// Uses the same-algorithm fast path when possible (§7.1: "this can be
+    /// further optimized by skipping the decompression step if the source
+    /// and destination tiers use the same compression algorithm" — we
+    /// implement that optimization); otherwise decompresses from the source
+    /// and recompresses into the destination. `recompressed` is
+    /// [`ZswapSubsystem::recompress`]'s output for this page when the
+    /// caller already computed it, or `None` to compute it here; the fast
+    /// path ignores it.
     ///
     /// # Errors
     ///
-    /// See [`ZswapSubsystem::migrate`].
-    pub fn migrate_prepared(
+    /// Propagates pool/codec errors; [`ZswapError::Incompressible`] cannot
+    /// occur on the fast path but can on the recompress path (the caller
+    /// should then place the page back uncompressed). On error the source
+    /// page is left intact.
+    pub fn migrate(
         &mut self,
         from: TierId,
         to: TierId,
@@ -280,17 +251,17 @@ impl ZswapSubsystem {
             });
         }
         let (f, t) = (self.tier(from)?, self.tier(to)?);
-        // Same-filled markers migrate for free: pure bookkeeping.
-        if stored.is_same_filled() {
-            self.tier_mut(from)?.release_same_filled();
-            let new = self.tier_mut(to)?.accept_same_filled(stored);
-            return Ok(MigrationOutcome {
+        let out = if let Some(v) = stored.same_filled {
+            // Same-filled markers migrate for free: pure bookkeeping.
+            let new = self
+                .tier_mut(to)?
+                .insert(&Compressed::SameFilled(v), stored.original_len)?;
+            MigrationOutcome {
                 stored: new,
                 fast_path: true,
                 cost_ns: 100.0,
-            });
-        }
-        let out = if f.config().algorithm == t.config().algorithm {
+            }
+        } else if f.config().algorithm == t.config().algorithm {
             // Fast path: move compressed bytes directly. Stream out +
             // stream in + pool bookkeeping on both sides.
             let compressed = f.peek_compressed(stored)?;
@@ -316,16 +287,13 @@ impl ZswapSubsystem {
             };
             let t = self.tier_mut(to)?;
             let new = t.insert(&compressed, stored.original_len)?;
-            t.bump_migrations_in();
             MigrationOutcome {
                 stored: new,
                 fast_path: false,
                 cost_ns: fault_ns + t.store_latency_ns(new.compressed_len),
             }
         };
-        let f = self.tier_mut(from)?;
-        f.invalidate(stored)?;
-        f.note_migration_out();
+        self.tier_mut(from)?.invalidate(stored)?;
         Ok(out)
     }
 
@@ -434,13 +402,11 @@ mod tests {
         let ct2 = z.create_tier(TierConfig::ct2()).unwrap(); // zstd
         let p = page(7);
         let s = z.store(ct1, &p).unwrap();
-        let out = z.migrate_with_cost(ct1, ct2, s).unwrap();
+        let out = z.migrate(ct1, ct2, s, None).unwrap();
         assert!(!out.fast_path);
         assert!(out.cost_ns > 0.0);
         assert_eq!(z.tier(ct1).unwrap().stats().pages, 0);
         assert_eq!(z.tier(ct2).unwrap().stats().pages, 1);
-        assert_eq!(z.tier(ct1).unwrap().stats().migrations_out, 1);
-        assert_eq!(z.tier(ct2).unwrap().stats().migrations_in, 1);
         assert_eq!(z.load(ct2, out.stored).unwrap(), p);
     }
 
@@ -463,7 +429,7 @@ mod tests {
             .unwrap();
         let p = page(3);
         let s = z.store(a, &p).unwrap();
-        let out = z.migrate_with_cost(a, b, s).unwrap();
+        let out = z.migrate(a, b, s, None).unwrap();
         assert!(out.fast_path);
         // Fast path must be cheaper than a decompress+recompress round.
         let slow_estimate = z.tier(a).unwrap().fault_latency_ns(s.compressed_len)
@@ -477,7 +443,7 @@ mod tests {
         let mut z = ZswapSubsystem::new(machine());
         let id = z.create_tier(TierConfig::ct1()).unwrap();
         let s = z.store(id, &page(1)).unwrap();
-        let out = z.migrate_with_cost(id, id, s).unwrap();
+        let out = z.migrate(id, id, s, None).unwrap();
         assert_eq!(out.cost_ns, 0.0);
         assert_eq!(out.stored, s);
     }
@@ -786,7 +752,7 @@ mod same_filled_tests {
         let a = z.create_tier(TierConfig::ct1()).unwrap();
         let b = z.create_tier(TierConfig::ct2()).unwrap();
         let s = z.store(a, &vec![7u8; 4096]).unwrap();
-        let out = z.migrate_with_cost(a, b, s).unwrap();
+        let out = z.migrate(a, b, s, None).unwrap();
         assert!(out.fast_path);
         assert!(out.cost_ns < 1000.0);
         assert_eq!(z.tier(a).unwrap().stats().pages, 0);

@@ -28,14 +28,8 @@ pub struct TierStats {
     pub faults: u64,
     /// Pages rejected as incompressible.
     pub rejections: u64,
-    /// Pages migrated into this tier from another tier.
-    pub migrations_in: u64,
-    /// Pages migrated out of this tier to another tier.
-    pub migrations_out: u64,
     /// Pages stored as same-filled markers (no pool space at all).
     pub same_filled: u64,
-    /// Pages written back to the swap device under pool pressure.
-    pub writebacks: u64,
     /// Stores failed by injected compression faults (chaos testing).
     pub compress_failures: u64,
 }
@@ -317,31 +311,12 @@ impl CompressedTier {
         self.stats.pages += 1;
         self.stats.compressed_bytes += compressed.len() as u64;
         self.stats.stores += 1;
-        self.stats.migrations_in += 1;
         Ok(StoredPage {
             handle,
             compressed_len: compressed.len(),
             original_len,
             same_filled: None,
         })
-    }
-
-    /// Accept a same-filled marker migrated from another tier (costs nothing
-    /// on either side beyond bookkeeping).
-    pub(crate) fn accept_same_filled(&mut self, stored: StoredPage) -> StoredPage {
-        debug_assert!(stored.is_same_filled());
-        self.stats.pages += 1;
-        self.stats.stores += 1;
-        self.stats.same_filled += 1;
-        self.stats.migrations_in += 1;
-        stored
-    }
-
-    /// Release a same-filled marker (source side of a migration).
-    pub(crate) fn release_same_filled(&mut self) {
-        self.stats.pages -= 1;
-        self.stats.same_filled -= 1;
-        self.stats.migrations_out += 1;
     }
 
     /// Drop a stored page without decompressing (invalidation, e.g. the
@@ -360,22 +335,6 @@ impl CompressedTier {
         self.stats.pages -= 1;
         self.stats.compressed_bytes -= stored.compressed_len as u64;
         Ok(())
-    }
-
-    /// Record an outgoing migration (bookkeeping used by the subsystem).
-    pub(crate) fn note_migration_out(&mut self) {
-        self.stats.migrations_out += 1;
-    }
-
-    /// Record a pool-limit writeback (bookkeeping for [`crate::writeback`]).
-    pub(crate) fn note_writeback(&mut self) {
-        self.stats.writebacks += 1;
-    }
-
-    /// Record an incoming migration that went through the recompress path
-    /// (the fast path counts inside [`CompressedTier::store_precompressed`]).
-    pub(crate) fn bump_migrations_in(&mut self) {
-        self.stats.migrations_in += 1;
     }
 
     /// Modeled latency of faulting one page out of this tier, in ns:

@@ -87,7 +87,7 @@ fn main() {
     let mut mid_pages = Vec::new();
     for sp in half {
         let out = zswap
-            .migrate_with_cost(fast, mid, sp)
+            .migrate(fast, mid, sp, None)
             .expect("migration succeeds");
         fast_path_hits += out.fast_path as u32;
         mid_pages.push(out.stored);
@@ -101,8 +101,8 @@ fn main() {
     // Age those again into the dense deflate tier (recompression path).
     let mut dense_pages = Vec::new();
     for sp in mid_pages {
-        match zswap.migrate(mid, dense, sp) {
-            Ok(s) => dense_pages.push(s),
+        match zswap.migrate(mid, dense, sp, None) {
+            Ok(out) => dense_pages.push(out.stored),
             Err(ZswapError::Incompressible) => {}
             Err(e) => panic!("unexpected: {e}"),
         }

@@ -1,84 +1,80 @@
 //! Pool-limit writeback: the kernel's backstop when compressed pools grow
 //! past their budget.
 //!
-//! Stores a working set into a CT-1-style tier with a pool limit, watches
-//! the oldest objects get written back to the swap device, and faults one
-//! back in through the full path (swap read + decompression).
+//! Builds a `Real`-fidelity system (real codecs, real pools) whose
+//! compressed tiers are capped with `SimConfig::with_pool_limit`, compresses
+//! the cold half of a key-value store into CT-1, watches the oldest objects
+//! get written back to the swap device, and faults one back in through the
+//! full path (swap read + decompression).
 //!
 //! ```sh
 //! cargo run --release --example pool_writeback
 //! ```
 
-use std::sync::Arc;
-use tierscape::mem::{Machine, MediaKind, PAGE_SIZE};
-use tierscape::workloads::PageClass;
-use tierscape::zswap::{CompressedTier, SwapDevice, TierConfig, TierId, WritebackQueue};
+use tierscape::mem::PAGE_SIZE;
+use tierscape::sim::{Fidelity, Placement, SimConfig, TieredSystem};
+use tierscape::workloads::{Scale, WorkloadId};
+use tierscape::zswap::SwapDevice;
+
+/// Pool limit of every compressed tier.
+const LIMIT: u64 = 1 << 20;
 
 fn main() {
-    let machine = Arc::new(
-        Machine::builder()
-            .node(MediaKind::Dram, 64 << 20)
-            .node(MediaKind::Nvmm, 64 << 20)
-            .build(),
-    );
-    let mut tier =
-        CompressedTier::new(TierId(0), TierConfig::ct1(), machine).expect("machine has all media");
-    let mut queue = WritebackQueue::new();
-    let mut device = SwapDevice::new();
+    let workload = WorkloadId::MemcachedYcsb.build(Scale(1.0 / 1024.0), 5);
+    let rss = workload.rss_bytes();
+    let cfg = SimConfig::standard_mix(rss, Fidelity::Real, 5).with_pool_limit(LIMIT);
+    let mut system = TieredSystem::new(cfg, workload).expect("valid configuration");
 
-    // Fill the tier with 2000 text pages.
-    let mut buf = vec![0u8; PAGE_SIZE];
-    let mut stored = Vec::new();
-    for i in 0..2000u64 {
-        PageClass::Text.fill(5, i, &mut buf);
-        let s = tier.store(&buf).expect("text compresses");
-        queue.push(s);
-        stored.push((s, i));
+    // Compress the cold half of the address space into CT-1.
+    let n = system.total_regions();
+    let (mut moved, mut rejected, mut cost_ns) = (0, 0, 0.0);
+    for r in n / 2..n {
+        let report = system.migrate_region(r, Placement::Compressed(0));
+        moved += report.moved;
+        rejected += report.rejected;
+        cost_ns += report.cost_ns;
     }
-    let before = tier.pool_stats().pool_bytes();
+    let ct1 = system.tier_stats(0);
     println!(
-        "stored {} pages, pool holds {:.2} MiB (ratio {:.2})",
-        stored.len(),
-        before as f64 / (1 << 20) as f64,
-        tier.effective_ratio()
-    );
-
-    // Enforce a pool limit of half the current size.
-    let limit = before / 2;
-    let (events, cost_ns) = queue.enforce_limit(&mut tier, &mut device, limit);
-    println!(
-        "\nwriteback: {} pages -> swap, pool now {:.2} MiB (limit {:.2} MiB), cost {:.2} ms",
-        events.len(),
-        tier.pool_stats().pool_bytes() as f64 / (1 << 20) as f64,
-        limit as f64 / (1 << 20) as f64,
+        "compressed {moved} pages into CT-1 ({rejected} rejected as incompressible), daemon cost {:.2} ms",
         cost_ns / 1e6
     );
     println!(
-        "swap device: {:.2} MiB used, TCO ${:.6} (vs pool's backing at ~33x the $/GB)",
-        device.used_bytes() as f64 / (1 << 20) as f64,
-        device.tco_cost()
+        "writeback: {} pages -> swap, CT-1 keeps {} pages in {:.2} MiB of pool (limit {:.2} MiB)",
+        ct1.writebacks,
+        ct1.pages,
+        system.tier_pool_bytes(0) as f64 / (1 << 20) as f64,
+        LIMIT as f64 / (1 << 20) as f64
+    );
+    assert!(ct1.writebacks > 0, "the limit forced writeback");
+    assert!(system.tier_pool_bytes(0) <= LIMIT, "the pool is bounded");
+    let swapped = system.swapped_pages();
+    assert_eq!(
+        swapped, ct1.writebacks,
+        "every written-back page is on swap"
+    );
+    println!(
+        "TCO now {:.4} vs {:.4} all-DRAM (swap priced at ${}/GB)",
+        system.current_tco(),
+        system.tco_max(),
+        SwapDevice::COST_PER_GB
     );
 
-    // Fault one written-back page all the way home.
-    let ev = events[0];
-    let page_idx = stored
-        .iter()
-        .find(|(s, _)| *s == ev.evicted)
-        .expect("tracked")
-        .1;
-    let bytes = device.read(ev.slot).expect("slot is live");
-    let mut restored = Vec::with_capacity(PAGE_SIZE);
-    tier.config()
-        .algorithm
-        .codec()
-        .decompress(&bytes, &mut restored)
-        .expect("swap holds valid compressed data");
-    PageClass::Text.fill(5, page_idx, &mut buf);
-    assert_eq!(restored, buf);
+    // Fault the oldest written-back page all the way home: the first page
+    // of the cold half whose access takes a page off the swap device.
+    let (page, lat) = (system.region_pages(n / 2).start..system.total_pages())
+        .find_map(|p| {
+            let lat = system.access(p * PAGE_SIZE as u64, false);
+            (system.swapped_pages() < swapped).then_some((p, lat))
+        })
+        .expect("some page was written back");
+    assert_eq!(system.swap_faults, 1);
+    assert_eq!(system.page_placement(page), Placement::Dram);
+    assert!(lat >= SwapDevice::READ_NS, "swap-in pays the device read");
     println!(
-        "\nswap-in of page {page_idx}: {} compressed bytes read at ~{:.0} us I/O + decompress — intact",
-        bytes.len(),
-        SwapDevice::READ_NS / 1000.0
+        "\nswap-in of page {page}: read off the device and decompressed in {:.0} us — \
+         back in DRAM, {} pages still on swap",
+        lat / 1000.0,
+        system.swapped_pages()
     );
-    println!("tier stats: {:?}", tier.stats());
 }

@@ -323,8 +323,8 @@ proptest! {
                     let idx = pick % live.len();
                     let (t, s, page_idx) = live[idx];
                     if t != tsel {
-                        match z.migrate(tiers[t], tiers[tsel], s) {
-                            Ok(ns) => live[idx] = (tsel, ns, page_idx),
+                        match z.migrate(tiers[t], tiers[tsel], s, None) {
+                            Ok(out) => live[idx] = (tsel, out.stored, page_idx),
                             Err(ZswapError::Incompressible) => {}
                             Err(e) => prop_assert!(false, "migrate: {e}"),
                         }
