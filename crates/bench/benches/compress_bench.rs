@@ -45,30 +45,35 @@ fn bench_compress(c: &mut Criterion) {
     g.finish();
 }
 
+/// Decoding a text page (rows named by codec) and a binary page (rows
+/// `<codec>-binary`): graph workloads decode binary lz4 pages on every
+/// incompressibility-memo check. A codec that rejects the page gets no row.
 fn bench_decompress(c: &mut Criterion) {
     let mut g = c.benchmark_group("decompress_4k");
     g.sample_size(20);
     g.throughput(Throughput::Bytes(4096));
-    for algo in Algorithm::ALL {
-        let codec = algo.codec();
-        let data = page(PageClass::Text);
-        let mut compressed = Vec::new();
-        if codec.compress(&data, &mut compressed).is_err() {
-            continue;
+    for (class, suffix) in [(PageClass::Text, ""), (PageClass::Binary, "-binary")] {
+        for algo in Algorithm::ALL {
+            let codec = algo.codec();
+            let data = page(class);
+            let mut compressed = Vec::new();
+            if codec.compress(&data, &mut compressed).is_err() {
+                continue;
+            }
+            g.bench_with_input(
+                BenchmarkId::from_parameter(format!("{}{suffix}", algo.name())),
+                &compressed,
+                |b, comp| {
+                    b.iter(|| {
+                        let mut out = Vec::with_capacity(4096);
+                        codec
+                            .decompress(black_box(comp), &mut out)
+                            .expect("valid stream");
+                        black_box(out)
+                    })
+                },
+            );
         }
-        g.bench_with_input(
-            BenchmarkId::from_parameter(algo.name()),
-            &compressed,
-            |b, comp| {
-                b.iter(|| {
-                    let mut out = Vec::with_capacity(4096);
-                    codec
-                        .decompress(black_box(comp), &mut out)
-                        .expect("valid stream");
-                    black_box(out)
-                })
-            },
-        );
     }
     g.finish();
 }

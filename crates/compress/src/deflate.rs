@@ -14,7 +14,7 @@
 use crate::bitio::{read_varint, write_varint, BitReader, BitWriter};
 use crate::huffman::{code_lengths, read_lengths, write_lengths, Decoder, Encoder};
 use crate::lz77::{tokenize, Token};
-use crate::{Algorithm, Codec, CodecError, Result};
+use crate::{Algorithm, Codec, CodecError, Result, MAX_OUT};
 
 /// End-of-block symbol in the literal/length alphabet.
 const EOB: usize = 256;
@@ -22,8 +22,6 @@ const EOB: usize = 256;
 const LITLEN_SYMS: usize = 286;
 /// Distance alphabet size.
 const DIST_SYMS: usize = 30;
-/// Max supported decompressed size (sanity bound, 64 MiB).
-const MAX_OUT: u64 = 64 << 20;
 
 /// `(base_length, extra_bits)` for length codes 257..=285.
 const LEN_TABLE: [(u32, u32); 29] = [
@@ -215,7 +213,7 @@ pub(crate) fn decode_stream(src: &[u8], dst: &mut Vec<u8>) -> Result<usize> {
     let start = dst.len();
     let mut pos = 0usize;
     let out_len = read_varint(src, &mut pos)?;
-    if out_len > MAX_OUT {
+    if out_len > MAX_OUT as u64 {
         return Err(CodecError::OutputOverflow);
     }
     let lit_lens = read_lengths(src, &mut pos)?;

@@ -85,6 +85,39 @@ impl std::error::Error for CodecError {}
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, CodecError>;
 
+/// The [`CodecError::Corrupt`] reason of a stream that decodes past the
+/// caller's output bound.
+pub const PAST_BOUND: &str = "output exceeds the bound";
+
+/// Largest output any [`Codec::decompress`] produces (a sanity bound, 64 MiB).
+const MAX_OUT: usize = 64 << 20;
+
+/// [`Codec::decompress`] over a bounded decoder (`decode`, writing into a
+/// slice): decode into `dst`'s spare capacity, at least one page, and
+/// double that room while the stream runs past it, up to [`MAX_OUT`].
+fn decompress_growing(
+    src: &[u8],
+    dst: &mut Vec<u8>,
+    decode: fn(&[u8], &mut [u8]) -> Result<usize>,
+) -> Result<usize> {
+    let start = dst.len();
+    let mut room = (dst.capacity() - start).max(4096);
+    loop {
+        dst.resize(start + room, 0);
+        match decode(src, &mut dst[start..]) {
+            Ok(n) => {
+                dst.truncate(start + n);
+                return Ok(n);
+            }
+            Err(CodecError::Corrupt(PAST_BOUND)) if room < MAX_OUT => room *= 2,
+            Err(e) => {
+                dst.truncate(start);
+                return Err(e);
+            }
+        }
+    }
+}
+
 /// A compression algorithm as configurable for a zswap tier.
 ///
 /// The set mirrors Table 1 of the paper. `Store` is an identity codec used
@@ -195,6 +228,24 @@ pub trait Codec: Send + Sync {
     ///
     /// Returns [`CodecError::Corrupt`] if the stream is malformed.
     fn decompress(&self, src: &[u8], dst: &mut Vec<u8>) -> Result<usize>;
+
+    /// Decompress `src` into `out`, whose length bounds the output; returns
+    /// the number of bytes written. The bytes of `out` past that count are
+    /// unspecified. lz4, lz4hc, lzo and lzo-rle stop before the first
+    /// write past the bound; the other codecs decode in full, then check.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodecError::Corrupt`] if the stream is malformed or
+    /// decodes to more than `out.len()` bytes.
+    fn decompress_into(&self, src: &[u8], out: &mut [u8]) -> Result<usize> {
+        let mut buf = Vec::with_capacity(out.len());
+        let n = self.decompress(src, &mut buf)?;
+        out.get_mut(..n)
+            .ok_or(CodecError::Corrupt(PAST_BOUND))?
+            .copy_from_slice(&buf);
+        Ok(n)
+    }
 
     /// Short name of the codec.
     fn name(&self) -> &'static str {

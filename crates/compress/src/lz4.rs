@@ -5,9 +5,12 @@
 //! offsets, 255-extension bytes for long lengths). [`Lz4`] uses the classic
 //! single-probe hash-table greedy parser; [`Lz4hc`] reuses the same format
 //! with a chained lazy parser for a better ratio at higher compression cost.
-//! Decompression speed is identical for both, as in the reference design.
+//! Both decode through [`decode`], as in the reference design: it writes
+//! into a slice whose length bounds the output and fails before any write
+//! past it.
 
-use crate::{Algorithm, Codec, CodecError, Result};
+use crate::lz77::{copy_literals, copy_match_within};
+use crate::{decompress_growing, Algorithm, Codec, CodecError, Result, PAST_BOUND};
 
 /// Minimum LZ4 match length.
 const MIN_MATCH: usize = 4;
@@ -224,69 +227,68 @@ fn compress_hc(src: &[u8], dst: &mut Vec<u8>, depth: usize) {
     emit_sequence(dst, &src[anchor..], 0, 0);
 }
 
-/// Decompress an LZ4 block; shared by both codecs.
+/// Read the 255-extension bytes of an lz4 length nibble onto `len`.
+#[inline]
+fn read_len(src: &[u8], ip: &mut usize, mut len: usize, what: &'static str) -> Result<usize> {
+    loop {
+        let b = *src.get(*ip).ok_or(CodecError::Corrupt(what))?;
+        *ip += 1;
+        len += b as usize;
+        if b != 255 {
+            return Ok(len);
+        }
+    }
+}
+
+/// Decode an LZ4 block into `out`, whose length bounds the output; returns
+/// the bytes written. Shared by both codecs.
 ///
 /// # Errors
 ///
-/// Returns [`CodecError::Corrupt`] on malformed input.
-pub fn decompress_block(src: &[u8], dst: &mut Vec<u8>) -> Result<usize> {
-    let start = dst.len();
-    let mut pos = 0usize;
+/// Returns [`CodecError::Corrupt`] on malformed input, and before any write
+/// that would pass the end of `out`.
+pub fn decode(src: &[u8], out: &mut [u8]) -> Result<usize> {
+    let mut ip = 0usize;
+    let mut op = 0usize;
     loop {
         let token = *src
-            .get(pos)
+            .get(ip)
             .ok_or(CodecError::Corrupt("lz4: missing token"))?;
-        pos += 1;
-        // Literal length.
+        ip += 1;
         let mut lit_len = (token >> 4) as usize;
         if lit_len == 15 {
-            loop {
-                let b = *src
-                    .get(pos)
-                    .ok_or(CodecError::Corrupt("lz4: litlen truncated"))?;
-                pos += 1;
-                lit_len += b as usize;
-                if b != 255 {
-                    break;
-                }
-            }
+            lit_len = read_len(src, &mut ip, lit_len, "lz4: litlen truncated")?;
         }
-        let lit_end = pos
-            .checked_add(lit_len)
-            .ok_or(CodecError::Corrupt("lz4: litlen overflow"))?;
-        if lit_end > src.len() {
+        if lit_len > src.len() - ip {
             return Err(CodecError::Corrupt("lz4: literals truncated"));
         }
-        dst.extend_from_slice(&src[pos..lit_end]);
-        pos = lit_end;
-        if pos == src.len() {
-            // Final literals-only sequence.
-            return Ok(dst.len() - start);
+        if lit_len > out.len() - op {
+            return Err(CodecError::Corrupt(PAST_BOUND));
         }
-        // Offset.
-        if pos + 2 > src.len() {
+        copy_literals(src, ip, out, op, lit_len);
+        ip += lit_len;
+        op += lit_len;
+        if ip == src.len() {
+            // Final literals-only sequence.
+            return Ok(op);
+        }
+        if ip + 2 > src.len() {
             return Err(CodecError::Corrupt("lz4: offset truncated"));
         }
-        let offset = u16::from_le_bytes([src[pos], src[pos + 1]]) as usize;
-        pos += 2;
-        if offset == 0 || offset > dst.len() - start {
+        let offset = u16::from_le_bytes([src[ip], src[ip + 1]]) as usize;
+        ip += 2;
+        if offset == 0 || offset > op {
             return Err(CodecError::Corrupt("lz4: bad offset"));
         }
-        // Match length.
         let mut mat_len = (token & 0xf) as usize + MIN_MATCH;
         if token & 0xf == 15 {
-            loop {
-                let b = *src
-                    .get(pos)
-                    .ok_or(CodecError::Corrupt("lz4: matlen truncated"))?;
-                pos += 1;
-                mat_len += b as usize;
-                if b != 255 {
-                    break;
-                }
-            }
+            mat_len = read_len(src, &mut ip, mat_len, "lz4: matlen truncated")?;
         }
-        crate::lz77::copy_match(dst, offset, mat_len);
+        if mat_len > out.len() - op {
+            return Err(CodecError::Corrupt(PAST_BOUND));
+        }
+        copy_match_within(out, op, offset, mat_len);
+        op += mat_len;
     }
 }
 
@@ -320,7 +322,11 @@ impl Codec for Lz4 {
     }
 
     fn decompress(&self, src: &[u8], dst: &mut Vec<u8>) -> Result<usize> {
-        decompress_block(src, dst)
+        decompress_growing(src, dst, decode)
+    }
+
+    fn decompress_into(&self, src: &[u8], out: &mut [u8]) -> Result<usize> {
+        decode(src, out)
     }
 }
 
@@ -334,7 +340,11 @@ impl Codec for Lz4hc {
     }
 
     fn decompress(&self, src: &[u8], dst: &mut Vec<u8>) -> Result<usize> {
-        decompress_block(src, dst)
+        decompress_growing(src, dst, decode)
+    }
+
+    fn decompress_into(&self, src: &[u8], out: &mut [u8]) -> Result<usize> {
+        decode(src, out)
     }
 }
 
@@ -421,7 +431,9 @@ mod tests {
         Lz4::new().compress(&data, &mut comp).unwrap();
         // Truncation.
         let mut out = Vec::new();
-        assert!(decompress_block(&comp[..comp.len() / 2], &mut out).is_err());
+        assert!(Lz4::new()
+            .decompress(&comp[..comp.len() / 2], &mut out)
+            .is_err());
         // Bad offset: zero the first offset bytes we can find.
         let mut bad = comp.clone();
         // Token at 0; find offset position after literals.
@@ -430,7 +442,7 @@ mod tests {
             bad[1 + lit] = 0;
             bad[1 + lit + 1] = 0;
             let mut out2 = Vec::new();
-            assert!(decompress_block(&bad, &mut out2).is_err());
+            assert!(Lz4::new().decompress(&bad, &mut out2).is_err());
         }
     }
 

@@ -16,10 +16,17 @@
 //! once to search the chain and then to link the position into it; positions
 //! inside an emitted match are only inserted. The parser gives up as soon as
 //! its output reaches the input length, since the page is rejected as
-//! incompressible at that point whatever follows.
+//! incompressible at that point whatever follows. One parse loop serves both
+//! finder geometries (a page, or a larger input).
+//!
+//! [`decode`] is the one decoder of both codecs: it writes into a slice whose
+//! length bounds the output and fails before any write past it.
 
 use crate::bitio::{read_varint, write_varint};
-use crate::{Algorithm, Codec, CodecError, Result};
+use crate::lz77::{
+    copy_literals, copy_match_within, LargeFinder, MatchFinder, PageFinder, PAGE_INPUT,
+};
+use crate::{decompress_growing, Algorithm, Codec, CodecError, Result, PAST_BOUND};
 
 const MIN_MATCH: usize = 3;
 const MAX_OFFSET: usize = 65535;
@@ -124,8 +131,26 @@ fn compress_impl(src: &[u8], dst: &mut Vec<u8>, depth: usize, rle: bool) -> Resu
         }
         return Ok(written);
     }
-    // Shared hash-chain finder (thread-local scratch, no per-call allocs).
-    let mut mf = crate::lz77::MatchFinder::new(src, MAX_OFFSET, depth, src.len());
+    if src.len() <= PAGE_INPUT {
+        PageFinder::with(src, MAX_OFFSET, depth, src.len(), |mf| {
+            parse(mf, dst, before, rle)
+        })
+    } else {
+        LargeFinder::with(src, MAX_OFFSET, depth, src.len(), |mf| {
+            parse(mf, dst, before, rle)
+        })
+    }
+}
+
+/// The parse loop of lzo and lzo-rle, over either finder geometry. `before`
+/// is where this page's output starts in `dst`.
+fn parse<const H: usize, const P: usize>(
+    mf: &mut MatchFinder<'_, H, P>,
+    dst: &mut Vec<u8>,
+    before: usize,
+    rle: bool,
+) -> Result<usize> {
+    let src = mf.source();
     let mut anchor = 0usize;
     let mut pos = 0usize;
     let limit = src.len() - MIN_MATCH + 1;
@@ -180,52 +205,66 @@ fn compress_impl(src: &[u8], dst: &mut Vec<u8>, depth: usize, rle: bool) -> Resu
     Ok(written)
 }
 
-/// Decode an LZO/LZO-RLE stream; the decoder accepts both op sets.
+/// Decode an LZO/LZO-RLE stream into `out`, whose length bounds the
+/// output; returns the bytes written. The decoder accepts both op sets.
 ///
 /// # Errors
 ///
-/// Returns [`CodecError::Corrupt`] on malformed input.
-pub fn decompress_impl(src: &[u8], dst: &mut Vec<u8>) -> Result<usize> {
-    let start = dst.len();
-    let mut pos = 0usize;
-    while pos < src.len() {
-        let ctrl = src[pos];
-        pos += 1;
+/// Returns [`CodecError::Corrupt`] on malformed input, and before any write
+/// that would pass the end of `out`.
+pub fn decode(src: &[u8], out: &mut [u8]) -> Result<usize> {
+    let mut ip = 0usize;
+    let mut op = 0usize;
+    while ip < src.len() {
+        let ctrl = src[ip];
+        ip += 1;
         if ctrl & 0x80 == 0 {
             let len = (ctrl & 0x7f) as usize + 1;
-            let end = pos + len;
-            if end > src.len() {
+            if len > src.len() - ip {
                 return Err(CodecError::Corrupt("lzo: literal run truncated"));
             }
-            dst.extend_from_slice(&src[pos..end]);
-            pos = end;
-        } else {
-            let mut len = (ctrl & 0x7f) as usize;
-            if len == 0x7f {
-                len += read_varint(src, &mut pos)? as usize;
+            if len > out.len() - op {
+                return Err(CodecError::Corrupt(PAST_BOUND));
             }
-            len += MIN_MATCH;
-            if pos + 2 > src.len() {
+            copy_literals(src, ip, out, op, len);
+            ip += len;
+            op += len;
+        } else {
+            let mut len = (ctrl & 0x7f) as usize + MIN_MATCH;
+            if ctrl == 0xff {
+                // An extension past the output bound is rejected whole, so
+                // no length arithmetic can overflow.
+                let extra = read_varint(src, &mut ip)?;
+                len += usize::try_from(extra)
+                    .ok()
+                    .filter(|&e| e <= out.len() - op)
+                    .ok_or(CodecError::Corrupt(PAST_BOUND))?;
+            }
+            if len > out.len() - op {
+                return Err(CodecError::Corrupt(PAST_BOUND));
+            }
+            if ip + 2 > src.len() {
                 return Err(CodecError::Corrupt("lzo: offset truncated"));
             }
-            let off = u16::from_le_bytes([src[pos], src[pos + 1]]) as usize;
-            pos += 2;
+            let off = u16::from_le_bytes([src[ip], src[ip + 1]]) as usize;
+            ip += 2;
             if off == 0 {
                 // RLE op: one byte repeated `len` times.
                 let b = *src
-                    .get(pos)
+                    .get(ip)
                     .ok_or(CodecError::Corrupt("lzo: rle byte missing"))?;
-                pos += 1;
-                dst.extend(std::iter::repeat_n(b, len));
+                ip += 1;
+                out[op..op + len].fill(b);
             } else {
-                if off > dst.len() - start {
+                if off > op {
                     return Err(CodecError::Corrupt("lzo: bad match offset"));
                 }
-                crate::lz77::copy_match(dst, off, len);
+                copy_match_within(out, op, off, len);
             }
+            op += len;
         }
     }
-    Ok(dst.len() - start)
+    Ok(op)
 }
 
 impl Codec for Lzo {
@@ -238,7 +277,11 @@ impl Codec for Lzo {
     }
 
     fn decompress(&self, src: &[u8], dst: &mut Vec<u8>) -> Result<usize> {
-        decompress_impl(src, dst)
+        decompress_growing(src, dst, decode)
+    }
+
+    fn decompress_into(&self, src: &[u8], out: &mut [u8]) -> Result<usize> {
+        decode(src, out)
     }
 }
 
@@ -252,7 +295,11 @@ impl Codec for LzoRle {
     }
 
     fn decompress(&self, src: &[u8], dst: &mut Vec<u8>) -> Result<usize> {
-        decompress_impl(src, dst)
+        decompress_growing(src, dst, decode)
+    }
+
+    fn decompress_into(&self, src: &[u8], out: &mut [u8]) -> Result<usize> {
+        decode(src, out)
     }
 }
 
@@ -322,7 +369,9 @@ mod tests {
         let mut comp = Vec::new();
         LzoRle::new().compress(&data, &mut comp).unwrap();
         let mut out = Vec::new();
-        assert!(decompress_impl(&comp[..comp.len() - 3], &mut out).is_err());
+        assert!(LzoRle::new()
+            .decompress(&comp[..comp.len() - 3], &mut out)
+            .is_err());
     }
 
     #[test]
@@ -331,7 +380,38 @@ mod tests {
         // Empty compresses to empty (written == len == 0 is not "incompressible").
         assert_eq!(Lzo::new().compress(&[], &mut out).unwrap(), 0);
         let mut dec = Vec::new();
-        assert_eq!(decompress_impl(&out, &mut dec).unwrap(), 0);
+        assert_eq!(Lzo::new().decompress(&out, &mut dec).unwrap(), 0);
+    }
+
+    /// A match length extension of `u64::MAX` used to overflow the length
+    /// arithmetic; now it runs past the bound and is rejected whole.
+    #[test]
+    fn huge_length_extension_is_corrupt() {
+        let mut stream = vec![0x00, b'a', 0xff];
+        stream.extend([0xff; 9]);
+        stream.extend([0x01, 0x01, 0x00]);
+        let mut page = vec![0u8; 4096];
+        assert_eq!(
+            decode(&stream, &mut page),
+            Err(CodecError::Corrupt(PAST_BOUND))
+        );
+    }
+
+    /// Ten bytes that ask for a 268,435,587-byte output: the bounded decode
+    /// stops at the page, and the unbounded one at its 64 MiB cap.
+    #[test]
+    fn overlong_stream_stops_at_the_bound() {
+        let stream = [0x00, 0x61, 0xff, 0x80, 0x80, 0x80, 0x80, 0x01, 0x01, 0x00];
+        let mut page = vec![0u8; 4096];
+        for codec in [&Lzo::new() as &dyn Codec, &LzoRle::new() as &dyn Codec] {
+            assert_eq!(
+                codec.decompress_into(&stream, &mut page),
+                Err(CodecError::Corrupt(PAST_BOUND))
+            );
+        }
+        let mut out = Vec::new();
+        assert!(Lzo::new().decompress(&stream, &mut out).is_err());
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! selects other codecs for its evaluation tiers.
 
 use crate::bitio::{read_varint, write_varint, BitReader, BitWriter};
-use crate::{Algorithm, Codec, CodecError, Result};
+use crate::{Algorithm, Codec, CodecError, Result, MAX_OUT};
 use std::collections::HashMap;
 
 const TPL_LIT: u64 = 0b00;
@@ -28,8 +28,6 @@ const TPL_HALF_LIT: u64 = 0b11;
 const WORD_DIST_BITS: u32 = 13;
 /// Backward distance bits for half-word references.
 const HALF_DIST_BITS: u32 = 14;
-/// Max supported decompressed size (sanity bound, 64 MiB).
-const MAX_OUT: u64 = 64 << 20;
 
 /// 842-style codec.
 #[derive(Debug, Default, Clone, Copy)]
@@ -126,7 +124,7 @@ impl Codec for Sw842 {
         let start = dst.len();
         let mut pos = 0usize;
         let out_len = read_varint(src, &mut pos)? as usize;
-        if out_len as u64 > MAX_OUT {
+        if out_len > MAX_OUT {
             return Err(CodecError::OutputOverflow);
         }
         let nwords = read_varint(src, &mut pos)? as usize;

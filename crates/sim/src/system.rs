@@ -223,10 +223,10 @@ fn prepare(
             } else if memo & memo_bit(algorithm) != 0 {
                 // Still decode, so every stored page read is checked.
                 z.tier(from)?
-                    .decompress(s)
-                    .map(|_| Prepared::Compressed(Compressed::Incompressible))
+                    .decompress_into(s, buf)
+                    .map(|()| Prepared::Compressed(Compressed::Incompressible))
             } else {
-                z.recompress(from, to, s).map(Prepared::Compressed)
+                z.recompress(from, to, s, buf).map(Prepared::Compressed)
             }
         }
         (
@@ -238,8 +238,8 @@ fn prepare(
             _,
         ) => z
             .tier(ids[tier as usize])?
-            .decompress(s)
-            .map(|_| Prepared::Decoded),
+            .decompress_into(s, buf)
+            .map(|()| Prepared::Decoded),
         (_, Placement::Compressed(t)) => {
             let tier = z.tier(ids[t])?;
             if memo & memo_bit(tier.config().algorithm) != 0 {
@@ -903,13 +903,11 @@ impl TieredSystem {
             } => {
                 let t = &self.cfg.compressed_tiers[origin_tier as usize];
                 if let Some(slot) = slot {
-                    // Real fidelity: the bytes really come off the device.
+                    // Real fidelity: the bytes really come off the device
+                    // and decode to exactly one page.
                     let bytes = self.swap.read(slot).expect("slot is live");
-                    let mut out = Vec::with_capacity(PAGE_SIZE);
-                    t.algorithm
-                        .codec()
-                        .decompress(&bytes, &mut out)
-                        .expect("swap holds valid compressed data");
+                    ts_zswap::decode_page(t.algorithm.codec().as_ref(), &bytes, &mut self.page_buf)
+                        .expect("swap holds a valid compressed page");
                 }
                 self.swap_pages -= 1;
                 self.swap_bytes -= comp_len as u64;
@@ -923,9 +921,11 @@ impl TieredSystem {
                 if let (Some(z), Some(s)) = (self.zswap.as_mut(), stored) {
                     let id = self.zswap_ids[tier as usize];
                     match release {
-                        // The content is regenerable: the decoded bytes are
-                        // dropped.
-                        Release::Load => drop(z.load(id, s).expect("stored page is live")),
+                        // The content is regenerable: the page buffer only
+                        // holds the decoded bytes until the next decode.
+                        Release::Load => z
+                            .load_into(id, s, &mut self.page_buf)
+                            .expect("stored page is live"),
                         Release::Invalidate => z.invalidate(id, s).expect("stored page is live"),
                         Release::Released => {}
                     }

@@ -53,8 +53,8 @@ pub use swap::{SwapDevice, SwapSlot};
 pub use tier::{Compressed, CompressedTier, StoredPage, TierId, TierStats};
 
 use std::sync::Arc;
-use ts_compress::CodecError;
-use ts_mem::{Machine, MediaKind};
+use ts_compress::{Codec, CodecError};
+use ts_mem::{Machine, MediaKind, PAGE_SIZE};
 use ts_zpool::PoolError;
 
 /// Errors from the zswap subsystem.
@@ -95,6 +95,26 @@ impl std::error::Error for ZswapError {}
 
 /// Result alias for this crate.
 pub type ZswapResult<T> = Result<T, ZswapError>;
+
+/// Decode one stored page: `src` must decompress under `codec` to exactly
+/// `page.len()` bytes, and the decoder stops at that bound. The fault, the
+/// migration and the swap-in paths all decode through here.
+///
+/// # Errors
+///
+/// [`ZswapError::Codec`] if the stream is malformed, runs past the page or
+/// ends short of it.
+pub fn decode_page(codec: &dyn Codec, src: &[u8], page: &mut [u8]) -> ZswapResult<()> {
+    let n = codec
+        .decompress_into(src, page)
+        .map_err(ZswapError::Codec)?;
+    if n != page.len() {
+        return Err(ZswapError::Codec(CodecError::Corrupt(
+            "decoded length differs from the stored page",
+        )));
+    }
+    Ok(())
+}
 
 /// Cost and outcome of one migration, for the daemon's tax accounting.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -193,6 +213,20 @@ impl ZswapSubsystem {
         self.tier_mut(id)?.load(stored)
     }
 
+    /// Fault a page out of tier `id` into `page` (decompress + invalidate).
+    ///
+    /// # Errors
+    ///
+    /// See [`CompressedTier::load_into`].
+    pub fn load_into(
+        &mut self,
+        id: TierId,
+        stored: StoredPage,
+        page: &mut [u8],
+    ) -> ZswapResult<()> {
+        self.tier_mut(id)?.load_into(stored, page)
+    }
+
     /// Invalidate a stored page without decompressing.
     ///
     /// # Errors
@@ -203,20 +237,21 @@ impl ZswapSubsystem {
     }
 
     /// The pure half of a recompressing migration: decompress `stored`
-    /// from tier `from` and compress it with tier `to`'s codec.
+    /// from tier `from` into `page` and compress it with tier `to`'s codec.
     ///
     /// # Errors
     ///
-    /// See [`CompressedTier::decompress`] and [`ZswapSubsystem::tier`].
+    /// See [`CompressedTier::decompress_into`] and [`ZswapSubsystem::tier`].
     pub fn recompress(
         &self,
         from: TierId,
         to: TierId,
         stored: StoredPage,
+        page: &mut [u8],
     ) -> ZswapResult<Compressed> {
         let to = self.tier(to)?;
-        let page = self.tier(from)?.decompress(stored)?;
-        Ok(to.compress(&page))
+        self.tier(from)?.decompress_into(stored, page)?;
+        Ok(to.compress(&page[..stored.original_len]))
     }
 
     /// Migrate a page between two compressed tiers.
@@ -283,7 +318,7 @@ impl ZswapSubsystem {
             let fault_ns = f.fault_latency_ns(stored.compressed_len);
             let compressed = match recompressed {
                 Some(c) => c,
-                None => self.recompress(from, to, stored)?,
+                None => self.recompress(from, to, stored, &mut [0; PAGE_SIZE])?,
             };
             let t = self.tier_mut(to)?;
             let new = t.insert(&compressed, stored.original_len)?;

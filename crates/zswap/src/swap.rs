@@ -95,16 +95,27 @@ mod tests {
         t.invalidate(s).unwrap();
         assert_eq!(t.pool_stats().pool_bytes(), 0);
         let bytes = dev.read(slot).unwrap();
-        let mut out = Vec::new();
-        t.config()
-            .algorithm
-            .codec()
-            .decompress(&bytes, &mut out)
-            .unwrap();
+        let codec = t.config().algorithm.codec();
+        let mut out = vec![0u8; PAGE_SIZE];
+        crate::decode_page(codec.as_ref(), &bytes, &mut out).unwrap();
         assert_eq!(out, page(9));
         // Slot freed after read.
         assert!(dev.read(slot).is_err());
         assert_eq!(dev.used_bytes(), 0);
+        // A truncated slot is a codec error on swap-in, whether the cut
+        // lands inside an op or between two (a short page).
+        for cut in 1..bytes.len() {
+            let slot = dev.write(bytes[..cut].to_vec());
+            let short = dev.read(slot).unwrap();
+            assert!(
+                matches!(
+                    crate::decode_page(codec.as_ref(), &short, &mut out),
+                    Err(crate::ZswapError::Codec(_))
+                ),
+                "slot cut to {cut} of {} bytes",
+                bytes.len()
+            );
+        }
     }
 
     // Pins the cost-model geometry the writeback economics rely on.

@@ -236,45 +236,65 @@ impl CompressedTier {
         })
     }
 
-    /// Decompress the page behind `stored` without invalidating it or
-    /// touching any statistics (the pure half of a fault).
+    /// Decompress the page behind `stored` into `page[..stored.original_len]`
+    /// without invalidating it or touching any statistics (the pure half of
+    /// a fault). The decoder stops at that bound.
     ///
     /// # Errors
     ///
-    /// [`ZswapError::Pool`] for stale handles; [`ZswapError::Codec`] if the
-    /// stored bytes fail to decompress or decode to any length other than
-    /// `stored.original_len` (corruption).
-    pub fn decompress(&self, stored: StoredPage) -> ZswapResult<Vec<u8>> {
+    /// [`ZswapError::Pool`] for stale handles; [`ZswapError::Codec`] if
+    /// `page` is shorter than the stored page, or if the stored bytes fail
+    /// to decompress to exactly `stored.original_len` bytes (corruption).
+    pub fn decompress_into(&self, stored: StoredPage, page: &mut [u8]) -> ZswapResult<()> {
+        let page = page
+            .get_mut(..stored.original_len)
+            .ok_or(ZswapError::Codec(ts_compress::CodecError::OutputOverflow))?;
         if let Some(v) = stored.same_filled {
-            return Ok(vec![v; stored.original_len]);
+            page.fill(v);
+            return Ok(());
         }
         let compressed = self.peek_compressed(stored)?;
-        let mut page = Vec::with_capacity(stored.original_len);
-        self.codec
-            .decompress(&compressed, &mut page)
-            .map_err(ZswapError::Codec)?;
-        if page.len() != stored.original_len {
-            return Err(ZswapError::Codec(ts_compress::CodecError::Corrupt(
-                "decoded length differs from the stored page",
-            )));
-        }
+        crate::decode_page(self.codec.as_ref(), &compressed, page)
+    }
+
+    /// [`CompressedTier::decompress_into`] a new page buffer.
+    ///
+    /// # Errors
+    ///
+    /// See [`CompressedTier::decompress_into`].
+    pub fn decompress(&self, stored: StoredPage) -> ZswapResult<Vec<u8>> {
+        let mut page = vec![0; stored.original_len];
+        self.decompress_into(stored, &mut page)?;
         Ok(page)
     }
 
-    /// Fault path: decompress the page behind `stored` and invalidate it in
-    /// the pool (zswap removes the entry once the page returns to memory).
+    /// Fault path: decompress the page behind `stored` into
+    /// `page[..stored.original_len]` and invalidate it in the pool (zswap
+    /// removes the entry once the page returns to memory).
     ///
     /// # Errors
     ///
-    /// See [`CompressedTier::decompress`]; on error the page stays stored.
-    pub fn load(&mut self, stored: StoredPage) -> ZswapResult<Vec<u8>> {
-        let page = self.decompress(stored)?;
+    /// See [`CompressedTier::decompress_into`]; on error the page stays
+    /// stored.
+    pub fn load_into(&mut self, stored: StoredPage, page: &mut [u8]) -> ZswapResult<()> {
+        self.decompress_into(stored, page)?;
         if !stored.is_same_filled() {
             self.pool.remove(stored.handle).map_err(ZswapError::Pool)?;
             self.stats.compressed_bytes -= stored.compressed_len as u64;
         }
         self.stats.pages -= 1;
         self.stats.faults += 1;
+        Ok(())
+    }
+
+    /// [`CompressedTier::load_into`] a new page buffer.
+    ///
+    /// # Errors
+    ///
+    /// See [`CompressedTier::load_into`].
+    pub fn load(&mut self, stored: StoredPage) -> ZswapResult<Vec<u8>> {
+        let mut page = vec![0; stored.original_len];
+        self.load_into(stored, &mut page)?;
         Ok(page)
     }
 

@@ -67,7 +67,9 @@ proptest! {
     /// Decoders also survive damaged *real* streams, which get much deeper
     /// into a decoder than random garbage: a page of each class compressed
     /// by every codec, then 1–4 bytes overwritten, or the stream truncated.
-    /// `decompress` must return `Ok` or `Err`, never panic or hang.
+    /// `decompress` must return `Ok` or `Err`, never panic or hang, and
+    /// `decompress_into` one page must fail or stay within it (lz4, lz4hc,
+    /// lzo and lzo-rle stop at that bound; the others check after decoding).
     #[test]
     fn decoders_survive_corrupted_streams(
         class_idx in 0usize..5,
@@ -93,6 +95,10 @@ proptest! {
             for damaged in [&overwritten[..], truncated] {
                 let mut out = Vec::new();
                 let _ = codec.decompress(damaged, &mut out);
+                let mut page = [0u8; 4096];
+                if let Ok(n) = codec.decompress_into(damaged, &mut page) {
+                    prop_assert!(n <= 4096, "{algo}: {n} bytes past the page");
+                }
             }
         }
     }
@@ -492,7 +498,9 @@ proptest! {
                     if t != tsel && !s.is_same_filled() {
                         // The pure half reads the source and changes nothing.
                         let before = z.tier(tiers[t]).unwrap().stats();
-                        let c = z.recompress(tiers[t], tiers[tsel], s).expect("live source");
+                        let c = z
+                            .recompress(tiers[t], tiers[tsel], s, &mut buf)
+                            .expect("live source");
                         prop_assert_eq!(z.tier(tiers[t]).unwrap().stats(), before);
                         let inserted = z.tier_mut(tiers[tsel]).unwrap().insert(&c, s.original_len);
                         // Whatever the destination did, the source copy is
