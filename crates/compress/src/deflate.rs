@@ -14,7 +14,7 @@
 use crate::bitio::{read_varint, write_varint, BitReader, BitWriter};
 use crate::huffman::{code_lengths, read_lengths, write_lengths, Decoder, Encoder};
 use crate::lz77::{tokenize, Token};
-use crate::{Algorithm, Codec, CodecError, Result, MAX_OUT};
+use crate::{decompress_declared, Algorithm, Codec, CodecError, Result, MAX_OUT};
 
 /// End-of-block symbol in the literal/length alphabet.
 const EOB: usize = 256;
@@ -284,6 +284,10 @@ impl Codec for Deflate {
 
     fn decompress(&self, src: &[u8], dst: &mut Vec<u8>) -> Result<usize> {
         decode_stream(src, dst)
+    }
+
+    fn decompress_into(&self, src: &[u8], out: &mut [u8]) -> Result<usize> {
+        decompress_declared(src, out, decode_stream)
     }
 }
 

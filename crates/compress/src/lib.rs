@@ -118,6 +118,25 @@ fn decompress_growing(
     }
 }
 
+/// [`Codec::decompress_into`] for a stream that opens with its output
+/// length as a varint (deflate, zstd-lite, 842): a declared length past
+/// `out.len()` is rejected before decoding, and the rest decodes in full.
+fn decompress_declared(
+    src: &[u8],
+    out: &mut [u8],
+    decompress: impl FnOnce(&[u8], &mut Vec<u8>) -> Result<usize>,
+) -> Result<usize> {
+    if bitio::read_varint(src, &mut 0)? > out.len() as u64 {
+        return Err(CodecError::Corrupt(PAST_BOUND));
+    }
+    let mut buf = Vec::with_capacity(out.len());
+    let n = decompress(src, &mut buf)?;
+    out.get_mut(..n)
+        .ok_or(CodecError::Corrupt(PAST_BOUND))?
+        .copy_from_slice(&buf);
+    Ok(n)
+}
+
 /// A compression algorithm as configurable for a zswap tier.
 ///
 /// The set mirrors Table 1 of the paper. `Store` is an identity codec used
@@ -232,7 +251,9 @@ pub trait Codec: Send + Sync {
     /// Decompress `src` into `out`, whose length bounds the output; returns
     /// the number of bytes written. The bytes of `out` past that count are
     /// unspecified. lz4, lz4hc, lzo and lzo-rle stop before the first
-    /// write past the bound; the other codecs decode in full, then check.
+    /// write past the bound. deflate, zstd-lite and 842 reject a stream
+    /// whose header declares more than `out.len()` bytes before decoding
+    /// any of it. Only the store codec copies in full, then checks.
     ///
     /// # Errors
     ///
@@ -401,6 +422,40 @@ mod tests {
         assert!(r_deflate < r_lz4, "deflate {r_deflate} vs lz4 {r_lz4}");
         assert!(r_zstd < r_lz4, "zstd {r_zstd} vs lz4 {r_lz4}");
         assert!(r_lz4 < 1.0);
+    }
+
+    /// An 8 KiB stream is rejected by a 4 KiB bound from its header alone:
+    /// a stream cut right after the header gets the same answer.
+    #[test]
+    fn declared_length_past_the_bound_is_rejected_before_decoding() {
+        let data: Vec<u8> = b"bounded decoders read the header first; "
+            .iter()
+            .copied()
+            .cycle()
+            .take(8192)
+            .collect();
+        for algo in [Algorithm::Deflate, Algorithm::Zstd, Algorithm::Sw842] {
+            let codec = algo.codec();
+            let mut stream = Vec::new();
+            codec.compress(&data, &mut stream).unwrap();
+            let mut page = vec![0u8; 4096];
+            let header_len = 2; // varint(8192)
+            for src in [&stream[..], &stream[..header_len]] {
+                assert_eq!(
+                    codec.decompress_into(src, &mut page),
+                    Err(CodecError::Corrupt(PAST_BOUND)),
+                    "{algo}"
+                );
+            }
+            let mut full = vec![0u8; 8192];
+            assert_eq!(codec.decompress_into(&stream, &mut full), Ok(8192));
+            assert_eq!(full, data);
+            let cut = codec.decompress_into(&stream[..header_len], &mut full);
+            assert!(
+                cut.is_err() && cut != Err(CodecError::Corrupt(PAST_BOUND)),
+                "{algo}: {cut:?}"
+            );
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! selects other codecs for its evaluation tiers.
 
 use crate::bitio::{read_varint, write_varint, BitReader, BitWriter};
-use crate::{Algorithm, Codec, CodecError, Result, MAX_OUT};
+use crate::{decompress_declared, Algorithm, Codec, CodecError, Result, MAX_OUT};
 use std::collections::HashMap;
 
 const TPL_LIT: u64 = 0b00;
@@ -210,6 +210,10 @@ impl Codec for Sw842 {
             return Err(CodecError::Corrupt("842: output length mismatch"));
         }
         Ok(out_len)
+    }
+
+    fn decompress_into(&self, src: &[u8], out: &mut [u8]) -> Result<usize> {
+        decompress_declared(src, out, |src, dst| self.decompress(src, dst))
     }
 }
 

@@ -12,7 +12,7 @@
 
 use crate::deflate::{decode_stream, encode_tokens};
 use crate::lz77::tokenize;
-use crate::{Algorithm, Codec, Result};
+use crate::{decompress_declared, Algorithm, Codec, Result};
 
 /// Zstandard-like codec.
 #[derive(Debug, Clone, Copy)]
@@ -59,6 +59,10 @@ impl Codec for ZstdLite {
 
     fn decompress(&self, src: &[u8], dst: &mut Vec<u8>) -> Result<usize> {
         decode_stream(src, dst)
+    }
+
+    fn decompress_into(&self, src: &[u8], out: &mut [u8]) -> Result<usize> {
+        decompress_declared(src, out, decode_stream)
     }
 }
 

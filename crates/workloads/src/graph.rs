@@ -47,42 +47,140 @@ impl CsrGraph {
     }
 }
 
+/// Edge draws below which a part of the edge stream is not worth a thread
+/// of its own.
+const MIN_PART_DRAWS: usize = 1 << 20;
+
 /// Generate an rMat graph with `1 << scale` vertices and ~`edge_factor`
 /// edges per vertex (duplicates removed, self-loops dropped).
+///
+/// Supports `scale <= 24` (callers clamp at 20). The output is a pure
+/// function of the arguments: large graphs draw their edge stream on one
+/// thread per core, and the result does not depend on how many.
 pub fn rmat(scale: u32, edge_factor: usize, seed: u64) -> CsrGraph {
+    assert!(scale <= 24, "rmat supports scale <= 24, got {scale}");
+    let draws = (1usize << scale) * edge_factor;
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    rmat_in_parts(
+        scale,
+        edge_factor,
+        seed,
+        cores.min(draws / MIN_PART_DRAWS).max(1),
+    )
+}
+
+/// [`rmat`] with the edge stream split into `parts` consecutive runs of
+/// draws: the first on the calling thread, each other on a thread of its
+/// own.
+fn rmat_in_parts(scale: u32, edge_factor: usize, seed: u64, parts: usize) -> CsrGraph {
     let n = 1usize << scale;
     let m_target = n * edge_factor;
-    let mut rng = SmallRng::seed_from_u64(seed);
-    // Each edge is a `u << 32 | v` key, so sorting the keys sorts by
-    // `(u, v)`.
-    let mut edges: Vec<u64> = Vec::with_capacity(m_target);
-    for _ in 0..m_target {
-        let (mut lo_u, mut lo_v) = (0u64, 0u64);
-        // One quadrant per level, most significant bit first: 0 is upper
-        // left, bit 0 of `q` picks the right half, bit 1 the lower half.
-        for _ in 0..scale {
-            let r: f64 = rng.random();
-            let q = u64::from(r >= RMAT_A)
-                + u64::from(r >= RMAT_A + RMAT_B)
-                + u64::from(r >= RMAT_A + RMAT_B + RMAT_C);
-            lo_u = (lo_u << 1) | (q >> 1);
-            lo_v = (lo_v << 1) | (q & 1);
+    // An edge is packed into a u32 as the low `low_bits` bits of u, then
+    // the `scale` bits of v; u's top `bucket_bits` bits pick its bucket.
+    let bucket_bits = (2 * scale).saturating_sub(32);
+    let low_bits = scale - bucket_bits;
+    let chunk = m_target.div_ceil(parts);
+    let base = SmallRng::seed_from_u64(seed);
+    // Every edge takes exactly `scale` draws, kept or not, so part k's
+    // stream starts `k * chunk * scale` draws into the seed's.
+    let draw_part = |k: usize| {
+        let mut rng = base.clone();
+        rng.advance((k * chunk) as u64 * u64::from(scale));
+        let edges = chunk.min(m_target.saturating_sub(k * chunk));
+        draw_edges(&mut rng, scale, low_bits, edges)
+    };
+    let mut part_buckets: Vec<Vec<Vec<u32>>> = Vec::with_capacity(parts);
+    // ts-lint: allow(thread-hygiene) -- parts merge as a sorted set: same output at any part count
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..parts)
+            .map(|k| scope.spawn(move || draw_part(k)))
+            .collect();
+        part_buckets.push(draw_part(0));
+        for handle in handles {
+            match handle.join() {
+                Ok(buckets) => part_buckets.push(buckets),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
         }
-        if lo_u != lo_v {
-            edges.push((lo_u << 32) | lo_v);
-        }
-    }
-    edges.sort_unstable();
-    edges.dedup();
+    });
+
+    let kept: usize = part_buckets.iter().flatten().map(Vec::len).sum();
     let mut offsets = vec![0u64; n + 1];
-    for &e in &edges {
-        offsets[(e >> 32) as usize + 1] += 1;
+    let mut neighbors: Vec<u32> = Vec::with_capacity(kept);
+    let low_mask = (1u32 << low_bits) - 1;
+    let v_mask = (1u32 << scale) - 1;
+    let mut counts = vec![0usize; (1 << low_bits) + 1];
+    for bucket in 0..1usize << bucket_bits {
+        // Counting sort by u: after the prefix sum, the bucket's i-th
+        // adjacency list spans `counts[i]..counts[i + 1]` past `first`.
+        counts.fill(0);
+        let edges = part_buckets.iter().flat_map(|p| &p[bucket]);
+        for &e in edges.clone() {
+            counts[(e >> scale) as usize + 1] += 1;
+        }
+        for i in 0..1 << low_bits {
+            counts[i + 1] += counts[i];
+        }
+        let first = neighbors.len();
+        neighbors.resize(first + counts[1 << low_bits], 0);
+        let mut next = counts.clone();
+        for &e in edges {
+            let slot = &mut next[((e >> scale) & low_mask) as usize];
+            neighbors[first + *slot] = e & v_mask;
+            *slot += 1;
+        }
+        for p in part_buckets.iter_mut() {
+            p[bucket] = Vec::new();
+        }
+        // Sort and dedup each list, compacting it down to the end of the
+        // previous one.
+        let mut end = first;
+        for i in 0..1usize << low_bits {
+            let list = first + counts[i]..first + counts[i + 1];
+            neighbors[list.clone()].sort_unstable();
+            let mut prev = None;
+            for j in list {
+                let w = neighbors[j];
+                if prev != Some(w) {
+                    neighbors[end] = w;
+                    end += 1;
+                    prev = Some(w);
+                }
+            }
+            offsets[(bucket << low_bits) + i + 1] = end as u64;
+        }
+        neighbors.truncate(end);
     }
-    for i in 0..n {
-        offsets[i + 1] += offsets[i];
-    }
-    let neighbors = edges.into_iter().map(|e| e as u32).collect();
     CsrGraph { offsets, neighbors }
+}
+
+/// Draw `edges` rMat edges from `rng`, dropping self-loops, into buckets
+/// by u's top bits (see [`rmat_in_parts`] for the packing).
+fn draw_edges(rng: &mut SmallRng, scale: u32, low_bits: u32, edges: usize) -> Vec<Vec<u32>> {
+    // The f64 sample of a draw `x` is `(x >> 11) * 2^-53`, so `r >= p`
+    // holds exactly when `x >= ceil(p * 2^53) << 11`.
+    let threshold = |p: f64| ((p * (1u64 << 53) as f64).ceil() as u64) << 11;
+    let t1 = threshold(RMAT_A);
+    let t2 = threshold(RMAT_A + RMAT_B);
+    let t3 = threshold(RMAT_A + RMAT_B + RMAT_C);
+    let low_mask = (1u32 << low_bits) - 1;
+    let mut buckets = vec![Vec::new(); 1 << (scale - low_bits)];
+    for _ in 0..edges {
+        let (mut u, mut v) = (0u32, 0u32);
+        // One quadrant per level, most significant bit first: quadrant q
+        // is the number of thresholds the draw reaches; 0 is upper left,
+        // bit 0 of q picks the right half, bit 1 the lower half.
+        for _ in 0..scale {
+            let x = rng.next_u64();
+            let (a, b, c) = (x >= t1, x >= t2, x >= t3);
+            u = (u << 1) | u32::from(b);
+            v = (v << 1) | u32::from(a ^ b ^ c);
+        }
+        if u != v {
+            buckets[(u >> low_bits) as usize].push(((u & low_mask) << scale) | v);
+        }
+    }
+    buckets
 }
 
 /// Address-space layout of a CSR graph plus per-vertex algorithm state.
@@ -183,7 +281,11 @@ impl GraphWorkload {
             rng: SmallRng::seed_from_u64(seed ^ 0xF00D),
             frontier: Vec::new(),
             next_frontier: Vec::new(),
-            visited: vec![false; n],
+            // Only BFS reads it.
+            visited: match algo {
+                GraphAlgo::Bfs => vec![false; n],
+                GraphAlgo::PageRank => Vec::new(),
+            },
             rounds_done: 0,
             pr_vertex: 0,
             pending: Vec::with_capacity(64),
@@ -338,13 +440,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn rmat_output_is_pinned() {
-        // FNV-1a over offsets and neighbors (little-endian u64 words) of
-        // three graphs, pinned to the value the branchy quadrant walk and
-        // tuple sort produced: the generator must stay byte-identical.
+    /// FNV-1a over offsets and neighbors (little-endian u64 words) of the
+    /// rMat graphs of `shapes`, each `(scale, edge_factor, seed)`.
+    fn rmat_hash(shapes: &[(u32, usize, u64)]) -> u64 {
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        for (scale, edge_factor, seed) in [(10, 8, 42), (12, 16, 1), (15, 16, 7)] {
+        for &(scale, edge_factor, seed) in shapes {
             let g = rmat(scale, edge_factor, seed);
             let neighbors = g.neighbors.iter().map(|&v| u64::from(v));
             for word in g.offsets.iter().copied().chain(neighbors) {
@@ -353,7 +453,39 @@ mod tests {
                 }
             }
         }
-        assert_eq!(hash, 0x2253_1b4c_b887_b3e1);
+        hash
+    }
+
+    #[test]
+    fn rmat_output_is_pinned() {
+        // Pinned to the value the branchy quadrant walk and tuple sort
+        // produced: the generator must stay byte-identical.
+        assert_eq!(
+            rmat_hash(&[(10, 8, 42), (12, 16, 1), (15, 16, 7)]),
+            0x2253_1b4c_b887_b3e1
+        );
+        // Scales above 16 pack edges into more than one bucket.
+        assert_eq!(rmat_hash(&[(17, 4, 9), (18, 2, 3)]), 0xf99a_ee0e_dda6_1457);
+    }
+
+    #[test]
+    fn rmat_is_identical_at_any_part_count() {
+        for (scale, edge_factor, seed) in [(10, 8, 42), (17, 4, 9)] {
+            let one = rmat_in_parts(scale, edge_factor, seed, 1);
+            for parts in 2..=4 {
+                let g = rmat_in_parts(scale, edge_factor, seed, parts);
+                assert_eq!(g.offsets, one.offsets, "{scale}/{parts} parts");
+                assert_eq!(g.neighbors, one.neighbors, "{scale}/{parts} parts");
+            }
+        }
+    }
+
+    /// The benchmark's graph (`graph-spectrum-real`). Slow in a debug build;
+    /// CI runs it in release with `--ignored`.
+    #[test]
+    #[ignore]
+    fn rmat_benchmark_graph_is_pinned() {
+        assert_eq!(rmat_hash(&[(19, 16, 42)]), 0xb9b2_29f6_c3ce_fa80);
     }
 
     #[test]
@@ -395,6 +527,7 @@ mod tests {
         }
         assert!(w.rounds_done() >= 1, "rounds {}", w.rounds_done());
         assert!(stores > 0);
+        assert!(w.visited.is_empty(), "BFS-only state");
     }
 
     #[test]
