@@ -163,9 +163,9 @@ pub struct WorkerSink {
     pub failed: u64,
     /// Compressed payload bytes written to the destination tier.
     pub bytes_out: u64,
-    /// Host ns phase A spent on the batch's pages, summed over threads
-    /// (trace only).
-    pub wall_ns: u64,
+    /// Host ns phase A spent on the batch's pages, summed over the
+    /// workers that ran them (trace only; not a wall-clock interval).
+    pub worker_ns: u64,
     /// Distribution of per-page compressed sizes.
     pub compressed_len: Histogram,
 }

@@ -8,7 +8,7 @@
 use crate::calib::Calibration;
 use crate::histogram::LatencyHistogram;
 use crate::{Fidelity, Placement, SimConfig, SimError, SimResult};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use ts_compress::Algorithm;
 use ts_faults::{FaultCounters, FaultPlan, FaultSite, TierError};
 use ts_mem::{Machine, MediaKind, MediaSpec, PAGE_SIZE};
@@ -101,16 +101,48 @@ pub struct PlannedMove {
 /// the engine holds at most this many pages' output per worker at a time.
 const CHUNK_PAGES_PER_WORKER: usize = 256;
 
+/// Pages a phase-A worker claims from the chunk's shared cursor at once.
+const CLAIM_PAGES: usize = 4;
+
+/// Placements a system may have (DRAM, byte tiers and compressed tiers
+/// together): the length of [`TieredSystem::region_placement`]'s count
+/// array.
+const MAX_PLACEMENTS: usize = 64;
+
 /// What phase A of [`TieredSystem::execute_plan`] computed for one page,
-/// for the serial path to apply.
-enum Prepared {
+/// for the serial path to apply. `B` gives the compressed output, as in
+/// [`Compressed`].
+enum Prepared<B> {
     /// Nothing: the serial path does all of the page's work.
     Nothing,
     /// The page compressed for its compressed destination.
-    Compressed(Compressed),
+    Compressed(Compressed<B>),
     /// The compressed source decoded toward a byte destination. The bytes
     /// are dropped: page content is regenerable.
     Decoded,
+}
+
+impl<B> Prepared<B> {
+    /// The same result with its compressed output given by `f(output)`.
+    fn map<C>(self, f: impl FnOnce(B) -> C) -> Prepared<C> {
+        match self {
+            Prepared::Nothing => Prepared::Nothing,
+            Prepared::Compressed(c) => Prepared::Compressed(c.map(f)),
+            Prepared::Decoded => Prepared::Decoded,
+        }
+    }
+
+    /// The same result with its compressed output borrowed.
+    fn as_bytes(&self) -> Prepared<&[u8]>
+    where
+        B: AsRef<[u8]>,
+    {
+        match self {
+            Prepared::Nothing => Prepared::Nothing,
+            Prepared::Compressed(c) => Prepared::Compressed(c.as_bytes()),
+            Prepared::Decoded => Prepared::Decoded,
+        }
+    }
 }
 
 /// How phase B of [`TieredSystem::execute_plan`] handles one page.
@@ -193,62 +225,91 @@ fn memo_bit(algorithm: Algorithm) -> u8 {
     }
 }
 
-/// Phase-A work for one page: the pure part of moving a page from
-/// residency `snap` to `dest`. Reads zswap and the workload only. `memo`
-/// is the page's incompressibility memo: a destination codec it names is
-/// not run again.
-fn prepare(
-    z: &ZswapSubsystem,
-    ids: &[TierId],
-    workload: &dyn Workload,
-    page: &PlanPage,
-    dest: Placement,
-    memo: u8,
-    buf: &mut [u8],
-) -> ZswapResult<Prepared> {
-    match (page.snap, dest) {
-        (
-            Residency::Compressed {
-                tier,
-                stored: Some(s),
-                ..
-            },
-            Placement::Compressed(t),
-        ) => {
-            let (from, to) = (ids[tier as usize], ids[t]);
-            let algorithm = z.tier(to)?.config().algorithm;
-            // The §7.1 same-algorithm fast path is a memcpy: left serial.
-            if z.tier(from)?.config().algorithm == algorithm {
-                Ok(Prepared::Nothing)
-            } else if memo & memo_bit(algorithm) != 0 {
-                // Still decode, so every stored page read is checked.
-                z.tier(from)?
-                    .decompress_into(s, buf)
-                    .map(|()| Prepared::Compressed(Compressed::Incompressible))
-            } else {
-                z.recompress(from, to, s, buf).map(Prepared::Compressed)
+/// Phase A's result for one page, with the host nanoseconds it took
+/// (trace only).
+type Computed = (ZswapResult<Prepared<Vec<u8>>>, u64);
+
+/// One phase-A worker's scratch, owned by the system and reused by every
+/// chunk of every plan, so that running a codec allocates nothing.
+struct WorkerBuffers {
+    /// The page being filled or decoded.
+    page: Vec<u8>,
+    /// The codec's output. A codec may write past a page before it
+    /// rejects one; only a kept output is copied out.
+    out: Vec<u8>,
+}
+
+/// What phase A of [`TieredSystem::execute_plan`] reads, shared by every
+/// worker: zswap, the workload, the incompressibility memo and the plan.
+struct PhaseA<'s> {
+    z: &'s ZswapSubsystem,
+    ids: &'s [TierId],
+    workload: &'s dyn Workload,
+    memo: &'s [u8],
+    pages: &'s [PlanPage],
+    moves: &'s [PlannedMove],
+}
+
+impl PhaseA<'_> {
+    /// Phase-A work for plan page `i`: the pure part of moving it from
+    /// its residency `snap` to its entry's destination. `buf` holds the
+    /// filled or decoded page and `out` (cleared first) the compressed
+    /// bytes. A destination codec the page's incompressibility memo names
+    /// is not run again.
+    fn prepare<'a>(
+        &self,
+        i: usize,
+        buf: &mut [u8],
+        out: &'a mut Vec<u8>,
+    ) -> ZswapResult<Prepared<&'a [u8]>> {
+        let (z, ids, page) = (self.z, self.ids, &self.pages[i]);
+        let memo = self.memo[page.vpage as usize];
+        out.clear();
+        match (page.snap, self.moves[page.entry].dest) {
+            (
+                Residency::Compressed {
+                    tier,
+                    stored: Some(s),
+                    ..
+                },
+                Placement::Compressed(t),
+            ) => {
+                let (from, to) = (ids[tier as usize], ids[t]);
+                let algorithm = z.tier(to)?.config().algorithm;
+                // The §7.1 same-algorithm fast path is a memcpy: left serial.
+                if z.tier(from)?.config().algorithm == algorithm {
+                    Ok(Prepared::Nothing)
+                } else if memo & memo_bit(algorithm) != 0 {
+                    // Still decode, so every stored page read is checked.
+                    z.tier(from)?
+                        .decompress_into(s, buf)
+                        .map(|()| Prepared::Compressed(Compressed::Incompressible))
+                } else {
+                    z.recompress(from, to, s, buf, out)
+                        .map(Prepared::Compressed)
+                }
             }
-        }
-        (
-            Residency::Compressed {
-                tier,
-                stored: Some(s),
-                ..
-            },
-            _,
-        ) => z
-            .tier(ids[tier as usize])?
-            .decompress_into(s, buf)
-            .map(|()| Prepared::Decoded),
-        (_, Placement::Compressed(t)) => {
-            let tier = z.tier(ids[t])?;
-            if memo & memo_bit(tier.config().algorithm) != 0 {
-                return Ok(Prepared::Compressed(Compressed::Incompressible));
+            (
+                Residency::Compressed {
+                    tier,
+                    stored: Some(s),
+                    ..
+                },
+                _,
+            ) => z
+                .tier(ids[tier as usize])?
+                .decompress_into(s, buf)
+                .map(|()| Prepared::Decoded),
+            (_, Placement::Compressed(t)) => {
+                let tier = z.tier(ids[t])?;
+                if memo & memo_bit(tier.config().algorithm) != 0 {
+                    return Ok(Prepared::Compressed(Compressed::Incompressible));
+                }
+                self.workload.fill_page(page.vpage, buf);
+                Ok(Prepared::Compressed(tier.compress_into(buf, out)))
             }
-            workload.fill_page(page.vpage, buf);
-            Ok(Prepared::Compressed(tier.compress(buf)))
+            _ => Ok(Prepared::Nothing),
         }
-        _ => Ok(Prepared::Nothing),
     }
 }
 
@@ -305,9 +366,17 @@ pub struct TieredSystem {
     hist: LatencyHistogram,
     tco_integral: f64,
     tco_clock_ns: f64,
+    /// [`Self::current_tco`] as of the last state change, or `None` once
+    /// an input of it changed: a resident count, a pool's bytes (real or
+    /// modeled) or the swap bytes. [`Self::detach`], [`Self::attach`] and
+    /// every zswap pool mutation clear it.
+    tco_rate: Option<f64>,
     /// Pages that faulted into DRAM when DRAM was at capacity.
     pub dram_overflow_faults: u64,
     page_buf: Vec<u8>,
+    /// Phase A's per-worker scratch (`Real` fidelity; empty until a plan
+    /// batches a page).
+    phase_a_scratch: Vec<WorkerBuffers>,
     /// Modeled swap device for pool-limit writeback.
     swap: SwapDevice,
     /// Pages currently on the swap device (modeled accounting).
@@ -347,6 +416,9 @@ impl TieredSystem {
     pub fn new(cfg: SimConfig, workload: Box<dyn Workload>) -> SimResult<Self> {
         if cfg.dram_bytes < PAGE_SIZE as u64 {
             return Err(SimError::Config("dram capacity below one page"));
+        }
+        if 1 + cfg.byte_tiers.len() + cfg.compressed_tiers.len() > MAX_PLACEMENTS {
+            return Err(SimError::Config("more than 64 placements"));
         }
         // Build the machine: DRAM node, byte-tier nodes, plus pool-only
         // nodes for compressed-tier media not otherwise present.
@@ -410,8 +482,10 @@ impl TieredSystem {
             hist: LatencyHistogram::new(),
             tco_integral: 0.0,
             tco_clock_ns: 0.0,
+            tco_rate: None,
             dram_overflow_faults: 0,
             page_buf: vec![0u8; PAGE_SIZE],
+            phase_a_scratch: Vec::new(),
             swap: SwapDevice::new(),
             swap_pages: 0,
             swap_bytes: 0,
@@ -629,17 +703,36 @@ impl TieredSystem {
         }
     }
 
-    /// Dominant placement of a region (most pages win).
+    /// Dominant placement of a region (most pages win; a tie goes to the
+    /// placement last in [`TieredSystem::placements`] order, an empty
+    /// region is DRAM).
     pub fn region_placement(&self, region: u64) -> Placement {
-        let mut counts = std::collections::BTreeMap::new();
-        for p in self.region_pages(region) {
-            *counts.entry(self.page_placement(p)).or_insert(0u64) += 1;
+        let range = self.region_pages(region);
+        if range.is_empty() {
+            return Placement::Dram;
         }
-        counts
-            .into_iter()
-            .max_by_key(|&(_, c)| c)
-            .map(|(p, _)| p)
-            .unwrap_or(Placement::Dram)
+        // Counted in `placements()` order, as `placement_counts` is.
+        let nbyte = self.cfg.byte_tiers.len();
+        let mut counts = [0u32; MAX_PLACEMENTS];
+        for r in &self.pages[range.start as usize..range.end as usize] {
+            let at = match *r {
+                Residency::Dram => 0,
+                Residency::Byte(i) => 1 + i as usize,
+                Residency::Compressed { tier, .. }
+                | Residency::Swapped {
+                    origin_tier: tier, ..
+                } => 1 + nbyte + tier as usize,
+            };
+            counts[at] += 1;
+        }
+        let at = (0..1 + nbyte + self.cfg.compressed_tiers.len())
+            .max_by_key(|&i| counts[i])
+            .unwrap_or(0);
+        match at {
+            0 => Placement::Dram,
+            i if i <= nbyte => Placement::ByteTier(i - 1),
+            i => Placement::Compressed(i - 1 - nbyte),
+        }
     }
 
     /// Page counts per placement, in [`TieredSystem::placements`] order,
@@ -887,6 +980,7 @@ impl TieredSystem {
     /// device and, in `Real` fidelity, decoded) and decrement the counters
     /// it occupied. Returns the cost of reading the page out.
     fn detach(&mut self, vpage: u64, release: Release) -> f64 {
+        self.tco_rate = None;
         match self.pages[vpage as usize] {
             Residency::Dram => {
                 self.resident[0] -= 1;
@@ -952,6 +1046,7 @@ impl TieredSystem {
     /// writeback candidate, unless it is a same-filled marker (no pool
     /// bytes to free); returns the writeback cost that limit then costs.
     fn attach(&mut self, vpage: u64, residency: Residency) -> f64 {
+        self.tco_rate = None;
         self.pages[vpage as usize] = residency;
         match residency {
             Residency::Dram => self.resident[0] += 1,
@@ -1092,7 +1187,7 @@ impl TieredSystem {
         &mut self,
         vpage: u64,
         dest: Placement,
-        prepared: Prepared,
+        prepared: Prepared<&[u8]>,
     ) -> SimResult<MoveCost> {
         let t = match dest {
             Placement::Dram | Placement::ByteTier(_) => {
@@ -1132,6 +1227,8 @@ impl TieredSystem {
             Prepared::Nothing | Prepared::Decoded => None,
         };
         let (from_id, to_id) = (self.zswap_ids[from as usize], self.zswap_ids[t]);
+        // Pool bytes may change even when the migration fails part way.
+        self.tco_rate = None;
         let out = match z.migrate(from_id, to_id, s, recompressed) {
             Ok(out) => out,
             Err(e) => return Err(self.store_error(t, e)),
@@ -1172,7 +1269,12 @@ impl TieredSystem {
     /// Compress page `vpage` into tier `t` from a byte-addressable (or
     /// swapped, or handle-less) source, using phase A's compressed bytes
     /// when `prepared` carries them.
-    fn compress_into(&mut self, vpage: u64, t: usize, prepared: Prepared) -> SimResult<MoveCost> {
+    fn compress_into(
+        &mut self,
+        vpage: u64,
+        t: usize,
+        prepared: Prepared<&[u8]>,
+    ) -> SimResult<MoveCost> {
         // `Modeled` fidelity has no zswap layer to trip inside, so the
         // store-path faults are drawn here on the serial path. (`Real`
         // fidelity injects inside ts-zswap/ts-zpool instead, keyed by the
@@ -1189,13 +1291,16 @@ impl TieredSystem {
         }
         let (comp_len, stored) = match &mut self.zswap {
             Some(z) => {
+                self.tco_rate = None;
                 let (workload, buf) = (&self.workload, &mut self.page_buf);
+                let mut out = Vec::new();
                 let result = z.tier_mut(self.zswap_ids[t]).and_then(|tier| {
                     let compressed = match prepared {
                         Prepared::Compressed(c) => c,
                         Prepared::Nothing | Prepared::Decoded => {
                             workload.fill_page(vpage, buf);
-                            tier.compress(buf)
+                            out.reserve(PAGE_SIZE);
+                            tier.compress_into(buf, &mut out)
                         }
                     };
                     tier.insert(&compressed, PAGE_SIZE)
@@ -1272,8 +1377,10 @@ impl TieredSystem {
     /// * **Phase A** runs the batched pages' pure work — fill and
     ///   compress, decompress and recompress, decompress — on up to
     ///   `workers` scoped threads, in chunks of at most
-    ///   [`CHUNK_PAGES_PER_WORKER`] pages per worker. It only reads the
-    ///   system. A page whose incompressibility memo names the
+    ///   [`CHUNK_PAGES_PER_WORKER`] pages per worker. The threads claim a
+    ///   chunk's pages from one shared cursor, a few at a time, and run
+    ///   their codecs in scratch the system owns and reuses. It only reads
+    ///   the system. A page whose incompressibility memo names the
     ///   destination's algorithm comes back incompressible without
     ///   running the codec (or, from a byte tier, `fill_page`); a
     ///   compressed source is still decoded.
@@ -1371,8 +1478,8 @@ impl TieredSystem {
                         let chunk = chunks.next().expect("one chunk slot per batched page");
                         ready = self.phase_a(&plan_pages, chunk, moves, workers).into_iter();
                     }
-                    let (prepared, wall_ns) = ready.next().expect("chunk is non-empty");
-                    sinks[b].wall_ns += wall_ns;
+                    let (prepared, worker_ns) = ready.next().expect("chunk is non-empty");
+                    sinks[b].worker_ns += worker_ns;
                     Some((b, prepared))
                 }
             };
@@ -1390,7 +1497,7 @@ impl TieredSystem {
                     }
                     let result = prepared
                         .map_err(SimError::Zswap)
-                        .and_then(|p| self.move_page(vpage, dest, p));
+                        .and_then(|p| self.move_page(vpage, dest, p.as_bytes()));
                     self.record_outcome(&mut sinks[b], vpage, dest, result.is_ok());
                     match result {
                         Ok(cost) => {
@@ -1460,14 +1567,16 @@ impl TieredSystem {
             }
             for ((dest, sink), busy) in dests.iter().zip(&sinks).zip(&busy) {
                 let scope = dest.to_string();
-                let jobs = sink.jobs as f64;
-                obs.span_raw(
-                    "migrate.batch",
-                    &scope,
-                    sink.wall_ns,
-                    *busy,
-                    &[("jobs", jobs)],
-                );
+                // A batch is no one host interval: its pages ran on every
+                // worker, among the other batches' pages. So the span has
+                // no wall time, and the per-page worker time summed over
+                // threads, which can exceed the enclosing
+                // `window.execute`, is a field.
+                let fields = [
+                    ("jobs", sink.jobs as f64),
+                    ("worker_ns", sink.worker_ns as f64),
+                ];
+                obs.span_raw("migrate.batch", &scope, 0, *busy, &fields);
                 obs.merge_sink(&scope, sink);
             }
         }
@@ -1501,47 +1610,84 @@ impl TieredSystem {
     }
 
     /// Phase A over one chunk of batched plan pages (indices into
-    /// `pages`): each page's pure work, split into contiguous slices over
-    /// up to `workers` scoped threads. Results come back in chunk order,
-    /// each with the host nanoseconds it took (trace only).
+    /// `pages`): each page's pure work on up to `workers` scoped threads,
+    /// the calling one included, each with its [`WorkerBuffers`]. The
+    /// threads claim [`CLAIM_PAGES`] pages at a time from one shared
+    /// cursor, so a thread that drew cheap pages (memo hits) goes on to
+    /// take the next ones instead of waiting. Each result lands in its
+    /// chunk slot, a kept output copied to a buffer of its exact length,
+    /// which phase B frees as soon as it applied the page. Results come
+    /// back in chunk order, each with the host nanoseconds it took (trace
+    /// only).
     fn phase_a(
-        &self,
+        &mut self,
         pages: &[PlanPage],
         chunk: &[usize],
         moves: &[PlannedMove],
         workers: usize,
-    ) -> Vec<(ZswapResult<Prepared>, u64)> {
-        let z = self
-            .zswap
-            .as_ref()
-            .expect("batched pages imply Real fidelity");
-        let (ids, workload) = (&self.zswap_ids, self.workload.as_ref());
-        let memo = &self.incompressible;
-        let run = |slice: &[usize]| -> Vec<(ZswapResult<Prepared>, u64)> {
-            let mut buf = vec![0u8; PAGE_SIZE];
-            slice
-                .iter()
-                .map(|&i| {
-                    let page = &pages[i];
-                    let timer = SpanTimer::new();
-                    let dest = moves[page.entry].dest;
-                    let bits = memo[page.vpage as usize];
-                    let prepared = prepare(z, ids, workload, page, dest, bits, &mut buf);
-                    (prepared, timer.elapsed_ns())
-                })
-                .collect()
+    ) -> Vec<Computed> {
+        let view = PhaseA {
+            z: self
+                .zswap
+                .as_ref()
+                .expect("batched pages imply Real fidelity"),
+            ids: &self.zswap_ids,
+            workload: self.workload.as_ref(),
+            memo: &self.incompressible,
+            pages,
+            moves,
         };
-        let mut slices = chunk.chunks(chunk.len().div_ceil(workers).max(1));
-        let first = slices.next().unwrap_or_default();
-        let run = &run;
-        std::thread::scope(|scope| {
-            let others: Vec<_> = slices.map(|s| scope.spawn(move || run(s))).collect();
-            let mut out = run(first);
-            for handle in others {
-                out.extend(handle.join().expect("phase-A worker panicked"));
+        let workers = workers.min(chunk.len().div_ceil(CLAIM_PAGES)).max(1);
+        let scratch = &mut self.phase_a_scratch;
+        if scratch.len() < workers {
+            scratch.resize_with(workers, || WorkerBuffers {
+                page: vec![0u8; PAGE_SIZE],
+                out: Vec::with_capacity(2 * PAGE_SIZE),
+            });
+        }
+        let mut slots: Vec<Option<Computed>> = Vec::new();
+        slots.resize_with(chunk.len(), || None);
+        let cursor = Mutex::new(chunk.chunks(CLAIM_PAGES).zip(slots.chunks_mut(CLAIM_PAGES)));
+        let work = |b: &mut WorkerBuffers| {
+            // The buffers' headers move to this thread's stack while it
+            // works: a codec updates its output's length byte by byte, and
+            // next to another worker's headers that would share a cache
+            // line between the threads.
+            let (mut page, mut out) = (std::mem::take(&mut b.page), std::mem::take(&mut b.out));
+            loop {
+                // The guard drops at the end of this statement: the lock is
+                // held for the claim only, never while a page runs.
+                let claim = cursor
+                    .lock()
+                    .expect("a worker panicked while claiming pages")
+                    .next();
+                let Some((claimed, slots)) = claim else {
+                    break;
+                };
+                for (&i, slot) in claimed.iter().zip(slots) {
+                    let timer = SpanTimer::new();
+                    let prepared = view
+                        .prepare(i, &mut page, &mut out)
+                        .map(|p| p.map(<[u8]>::to_vec));
+                    *slot = Some((prepared, timer.elapsed_ns()));
+                }
             }
-            out
-        })
+            (b.page, b.out) = (page, out);
+        };
+        let work = &work;
+        let (first, others) = scratch[..workers]
+            .split_first_mut()
+            .expect("at least one worker");
+        std::thread::scope(|scope| {
+            for b in others {
+                scope.spawn(move || work(b));
+            }
+            work(first);
+        });
+        slots
+            .into_iter()
+            .map(|slot| slot.expect("the cursor hands out every page"))
+            .collect()
     }
 
     /// Fold one batched page's outcome into its destination's sink: a
@@ -1569,12 +1715,20 @@ impl TieredSystem {
         self.daemon_ns
     }
 
+    /// Integrate the TCO rate over `dt_ns`. The rate is recomputed only
+    /// after a state change cleared [`Self::tco_rate`], so an access that
+    /// moves no page costs no pool-statistics call.
     fn advance_tco(&mut self, dt_ns: f64) {
-        self.tco_integral += self.current_tco() * dt_ns;
+        let rate = match self.tco_rate {
+            Some(rate) => rate,
+            None => *self.tco_rate.insert(self.current_tco()),
+        };
+        debug_assert_eq!(rate.to_bits(), self.current_tco().to_bits());
+        self.tco_integral += rate * dt_ns;
         self.tco_clock_ns += dt_ns;
     }
 
-    /// Instantaneous memory TCO (Eq. 10).
+    /// Instantaneous memory TCO (Eq. 10), recomputed from the counters.
     pub fn current_tco(&self) -> f64 {
         let mut tco = self
             .dram_spec
@@ -1665,7 +1819,8 @@ mod tests {
 
     /// Recount `resident`, each tier's pages, compressed bytes and
     /// modeled pool bytes, and the swapped pages and bytes from the page
-    /// table alone, and assert the incremental counters agree.
+    /// table alone, and assert the incremental counters agree; and assert
+    /// the cached TCO rate, when set, is the recomputed one to the bit.
     fn assert_counters_match_page_table(s: &TieredSystem, label: &str) {
         let mut resident = vec![0; s.resident.len()];
         let mut tiers = vec![SimTierStats::default(); s.tier_stats.len()];
@@ -1709,6 +1864,10 @@ mod tests {
             }
             assert_eq!(s.swap.used_bytes(), s.swap_bytes, "{label}: swap device");
         }
+        if let Some(rate) = s.tco_rate {
+            let recomputed = s.current_tco();
+            assert_eq!(rate.to_bits(), recomputed.to_bits(), "{label}: TCO rate");
+        }
     }
 
     /// memcached-ycsb, or two of it co-located, on the standard mix.
@@ -1726,19 +1885,38 @@ mod tests {
         TieredSystem::new(cfg, w).expect("valid configuration")
     }
 
+    /// `region_placement` as it was first written: a map from placement
+    /// to page count, the last maximum in `Placement` order winning.
+    fn region_placement_by_map(s: &TieredSystem, region: u64) -> Placement {
+        let mut counts = std::collections::BTreeMap::new();
+        for p in s.region_pages(region) {
+            *counts.entry(s.page_placement(p)).or_insert(0u64) += 1;
+        }
+        counts
+            .into_iter()
+            .max_by_key(|&(_, c)| c)
+            .map(|(p, _)| p)
+            .unwrap_or(Placement::Dram)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(3))]
 
         /// Every residency counter equals a recount of the page table after
-        /// every access burst, plan and region migration, in both
-        /// fidelities, with and without pool limits.
+        /// every access burst, plan and region migration, and the cached
+        /// TCO rate equals the recomputed one, in both fidelities, with and
+        /// without pool limits, one workload or two, and with injected
+        /// faults.
         #[test]
         fn counters_match_a_recount_of_the_page_table(
             ops in collection::vec((0u8..4, any::<u64>()), 6..12),
         ) {
-            for setup in 0..8u64 {
+            for setup in 0..12u64 {
                 let fidelity = if setup & 1 == 0 { Fidelity::Modeled } else { Fidelity::Real };
-                let mut s = system(fidelity, setup & 2 != 0, setup & 4 != 0, setup);
+                let mut s = system(fidelity, setup & 2 != 0, setup >> 2 == 1, setup);
+                if setup >> 2 == 2 {
+                    s.set_fault_plan(FaultPlan::uniform(setup, 0.2));
+                }
                 let placements = s.placements();
                 let regions = s.total_regions();
                 for (i, &(op, x)) in ops.iter().enumerate() {
@@ -1747,12 +1925,14 @@ mod tests {
                             for _ in 0..500 {
                                 s.step();
                             }
+                            prop_assert!(s.tco_rate.is_some());
                         }
                         1 => {
                             for k in 0..64 {
                                 let addr = x.wrapping_mul(k + 1).rotate_left(k as u32);
                                 s.access(addr % (s.total_pages() * PAGE_SIZE as u64), k % 3 == 0);
                             }
+                            prop_assert!(s.tco_rate.is_some());
                         }
                         2 => {
                             let plan: Vec<PlannedMove> = (0..regions)
@@ -1770,6 +1950,61 @@ mod tests {
                         }
                     }
                     assert_counters_match_page_table(&s, &format!("setup {setup}, op {i}"));
+                }
+            }
+        }
+
+        /// The fixed-array count picks what the map count picked, over
+        /// page tables drawn at random (ties included) on a setup with a
+        /// byte tier and on one with five compressed tiers, and for a
+        /// region past the end.
+        #[test]
+        fn region_placement_matches_a_map_count(
+            regions in collection::vec((collection::vec(0u8..16, 1..5), any::<bool>(), any::<u64>()), 8..9),
+        ) {
+            let kv = || WorkloadId::MemcachedYcsb.build(Scale::TEST, 5);
+            let configs = [
+                SimConfig::standard_mix(kv().rss_bytes(), Fidelity::Modeled, 5),
+                SimConfig::spectrum(kv().rss_bytes(), Fidelity::Modeled, 5),
+            ];
+            for cfg in configs {
+                let (nbyte, nct) = (cfg.byte_tiers.len() as u16, cfg.compressed_tiers.len() as u16);
+                let mut s = TieredSystem::new(cfg, kv()).expect("valid configuration");
+                // Residency kinds: DRAM, each byte tier, and each compressed
+                // tier both stored and written back.
+                let kind = |k: u8| match k as u16 % (1 + nbyte + 2 * nct) {
+                    0 => Residency::Dram,
+                    k if k <= nbyte => Residency::Byte(k - 1),
+                    k if k <= nbyte + nct => Residency::Compressed {
+                        tier: k - 1 - nbyte,
+                        comp_len: 100,
+                        stored: None,
+                    },
+                    k => Residency::Swapped {
+                        comp_len: 100,
+                        slot: None,
+                        origin_tier: k - 1 - nbyte - nct,
+                    },
+                };
+                let total = s.total_regions();
+                for (r, (kinds, round_robin, mut x)) in regions.iter().enumerate() {
+                    let r = r as u64 * total / regions.len() as u64;
+                    for (n, p) in s.region_pages(r).enumerate() {
+                        // Round robin over a region of 2^k pages ties
+                        // whenever the number of kinds is a power of two.
+                        let pick = if *round_robin {
+                            n % kinds.len()
+                        } else {
+                            x ^= x << 13;
+                            x ^= x >> 7;
+                            x ^= x << 17;
+                            x as usize % kinds.len()
+                        };
+                        s.pages[p as usize] = kind(kinds[pick]);
+                    }
+                }
+                for r in 0..total + 2 {
+                    prop_assert_eq!(s.region_placement(r), region_placement_by_map(&s, r), "region {}", r);
                 }
             }
         }

@@ -130,7 +130,7 @@ pub struct MigrationOutcome {
 /// The multi-tier compressed memory subsystem.
 ///
 /// Mutations take `&mut self`; the pure halves of the page-copy path
-/// ([`CompressedTier::compress`], [`CompressedTier::decompress`],
+/// ([`CompressedTier::compress_into`], [`CompressedTier::decompress`],
 /// [`ZswapSubsystem::recompress`]) take `&self`, so a migration engine can
 /// run them on many threads against a shared borrow and then apply the
 /// results serially.
@@ -237,21 +237,23 @@ impl ZswapSubsystem {
     }
 
     /// The pure half of a recompressing migration: decompress `stored`
-    /// from tier `from` into `page` and compress it with tier `to`'s codec.
+    /// from tier `from` into `page` and compress it with tier `to`'s codec,
+    /// appending to `out` (see [`CompressedTier::compress_into`]).
     ///
     /// # Errors
     ///
     /// See [`CompressedTier::decompress_into`] and [`ZswapSubsystem::tier`].
-    pub fn recompress(
+    pub fn recompress<'a>(
         &self,
         from: TierId,
         to: TierId,
         stored: StoredPage,
         page: &mut [u8],
-    ) -> ZswapResult<Compressed> {
+        out: &'a mut Vec<u8>,
+    ) -> ZswapResult<Compressed<&'a [u8]>> {
         let to = self.tier(to)?;
         self.tier(from)?.decompress_into(stored, page)?;
-        Ok(to.compress(&page[..stored.original_len]))
+        Ok(to.compress_into(&page[..stored.original_len], out))
     }
 
     /// Migrate a page between two compressed tiers.
@@ -276,7 +278,7 @@ impl ZswapSubsystem {
         from: TierId,
         to: TierId,
         stored: StoredPage,
-        recompressed: Option<Compressed>,
+        recompressed: Option<Compressed<&[u8]>>,
     ) -> ZswapResult<MigrationOutcome> {
         if from == to {
             return Ok(MigrationOutcome {
@@ -316,9 +318,13 @@ impl ZswapSubsystem {
         } else {
             // Naive path: decompress then recompress (paper's default).
             let fault_ns = f.fault_latency_ns(stored.compressed_len);
+            let mut out = Vec::new();
             let compressed = match recompressed {
                 Some(c) => c,
-                None => self.recompress(from, to, stored, &mut [0; PAGE_SIZE])?,
+                None => {
+                    out.reserve(PAGE_SIZE);
+                    self.recompress(from, to, stored, &mut [0; PAGE_SIZE], &mut out)?
+                }
             };
             let t = self.tier_mut(to)?;
             let new = t.insert(&compressed, stored.original_len)?;
@@ -668,7 +674,8 @@ mod corruption_tests {
         let b = z.create_tier(TierConfig::ct1()).unwrap();
         for page in [text_page(), vec![9u8; 4096]] {
             let before = z.tier(b).unwrap().stats();
-            let compressed = z.tier(b).unwrap().compress(&page);
+            let mut out = Vec::new();
+            let compressed = z.tier(b).unwrap().compress_into(&page, &mut out);
             assert_eq!(z.tier(b).unwrap().stats(), before);
             let via_split = z
                 .tier_mut(b)
@@ -714,15 +721,18 @@ mod corruption_tests {
                 .filter(|&j| j != i && configs[j].algorithm == a.algorithm)
                 .collect();
             assert_eq!(same.len(), 3, "{}: one per pool and medium", a.label);
+            let (mut want_out, mut got_out) = (Vec::new(), Vec::new());
             for page in &pages {
-                let want = z.tier(ids[i]).unwrap().compress(page);
+                let want = z.tier(ids[i]).unwrap().compress_into(page, &mut want_out);
                 for &j in &same {
-                    let got = z.tier(ids[j]).unwrap().compress(page);
+                    let got = z.tier(ids[j]).unwrap().compress_into(page, &mut got_out);
                     assert_eq!(got, want, "{} vs {}", a.label, configs[j].label);
                 }
             }
             assert_eq!(
-                z.tier(ids[i]).unwrap().compress(&pages[2]),
+                z.tier(ids[i])
+                    .unwrap()
+                    .compress_into(&pages[2], &mut want_out),
                 Compressed::Incompressible,
                 "{}: noise page",
                 a.label

@@ -62,18 +62,46 @@ fn same_filled_value(page: &[u8]) -> Option<u8> {
     page.iter().all(|&b| b == first).then_some(first)
 }
 
-/// Output of [`CompressedTier::compress`]: what a store would place in
-/// the pool, computed without touching the tier.
+/// Output of [`CompressedTier::compress_into`]: what a store would place
+/// in the pool, computed without touching the tier. `B` gives the codec's
+/// output: the bytes themselves (`&[u8]`, what
+/// [`CompressedTier::insert`] takes), or where a caller keeps them.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Compressed {
+pub enum Compressed<B> {
     /// Every byte of the page equals this value; stored as a marker.
     SameFilled(u8),
     /// The codec's output.
-    Bytes(Vec<u8>),
+    Bytes(B),
     /// The page did not shrink under the codec.
     Incompressible,
     /// The codec failed for another reason.
     Failed(ts_compress::CodecError),
+}
+
+impl<B> Compressed<B> {
+    /// The same outcome with its output given by `f(output)`.
+    pub fn map<C>(self, f: impl FnOnce(B) -> C) -> Compressed<C> {
+        match self {
+            Compressed::SameFilled(v) => Compressed::SameFilled(v),
+            Compressed::Bytes(b) => Compressed::Bytes(f(b)),
+            Compressed::Incompressible => Compressed::Incompressible,
+            Compressed::Failed(e) => Compressed::Failed(e),
+        }
+    }
+
+    /// The same outcome with its output borrowed, as
+    /// [`CompressedTier::insert`] takes it.
+    pub fn as_bytes(&self) -> Compressed<&[u8]>
+    where
+        B: AsRef<[u8]>,
+    {
+        match self {
+            Compressed::SameFilled(v) => Compressed::SameFilled(*v),
+            Compressed::Bytes(b) => Compressed::Bytes(b.as_ref()),
+            Compressed::Incompressible => Compressed::Incompressible,
+            Compressed::Failed(e) => Compressed::Failed(e.clone()),
+        }
+    }
 }
 
 /// One active compressed tier.
@@ -152,30 +180,39 @@ impl CompressedTier {
     }
 
     /// Compress and store a page: [`CompressedTier::insert`] of
-    /// [`CompressedTier::compress`].
+    /// [`CompressedTier::compress_into`] a fresh buffer.
     ///
     /// # Errors
     ///
     /// See [`CompressedTier::insert`].
     pub fn store(&mut self, page: &[u8]) -> ZswapResult<StoredPage> {
-        let compressed = self.compress(page);
+        let mut out = Vec::with_capacity(page.len());
+        let compressed = self.compress_into(page, &mut out);
         self.insert(&compressed, page.len())
     }
 
     /// The pure half of a store: same-filled detection, then this tier's
-    /// codec. Touches no statistics, pool or fault state, so any number of
-    /// threads may compress for one tier at once.
-    pub fn compress(&self, page: &[u8]) -> Compressed {
+    /// codec, appending its output to `out` and returning it. `out` keeps
+    /// what it held before, and gets nothing else unless the page
+    /// compressed. Touches no statistics, pool or fault state, so any
+    /// number of threads may compress for one tier at once, each into its
+    /// own buffer.
+    pub fn compress_into<'a>(&self, page: &[u8], out: &'a mut Vec<u8>) -> Compressed<&'a [u8]> {
         debug_assert!(page.len() <= PAGE_SIZE);
         // Same-filled fast path (kernel zswap): no compression, no pool.
         if let Some(v) = same_filled_value(page) {
             return Compressed::SameFilled(v);
         }
-        let mut buf = Vec::with_capacity(page.len());
-        match self.codec.compress(page, &mut buf) {
-            Ok(_) => Compressed::Bytes(buf),
-            Err(ts_compress::CodecError::Incompressible { .. }) => Compressed::Incompressible,
-            Err(e) => Compressed::Failed(e),
+        let start = out.len();
+        match self.codec.compress(page, out) {
+            Ok(_) => Compressed::Bytes(&out[start..]),
+            Err(e) => {
+                out.truncate(start);
+                match e {
+                    ts_compress::CodecError::Incompressible { .. } => Compressed::Incompressible,
+                    e => Compressed::Failed(e),
+                }
+            }
         }
     }
 
@@ -192,7 +229,7 @@ impl CompressedTier {
     /// pool failures (e.g. backing node exhausted).
     pub fn insert(
         &mut self,
-        compressed: &Compressed,
+        compressed: &Compressed<&[u8]>,
         original_len: usize,
     ) -> ZswapResult<StoredPage> {
         if let &Compressed::SameFilled(v) = compressed {
@@ -215,13 +252,13 @@ impl CompressedTier {
                 return Err(ZswapError::CompressFailed);
             }
         }
-        let buf = match compressed {
+        let buf = match *compressed {
             Compressed::Bytes(buf) => buf,
             Compressed::Incompressible => {
                 self.stats.rejections += 1;
                 return Err(ZswapError::Incompressible);
             }
-            Compressed::Failed(e) => return Err(ZswapError::Codec(e.clone())),
+            Compressed::Failed(ref e) => return Err(ZswapError::Codec(e.clone())),
             Compressed::SameFilled(_) => unreachable!("handled above"),
         };
         let handle = self.pool.store(buf).map_err(ZswapError::Pool)?;

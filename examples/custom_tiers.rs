@@ -48,13 +48,16 @@ fn main() {
         )
         .expect("nvmm node present");
 
-    // Store 1000 pages of mixed content into the fast tier. `compress`
-    // only reads the tier (it could run on many threads); `insert` then
-    // applies each result serially, the way a migration engine does.
+    // Store 1000 pages of mixed content into the fast tier. `compress_into`
+    // only reads the tier (it could run on many threads, each into its own
+    // output buffer); `insert` then applies each result serially, the way
+    // a migration engine does.
     let mut buf = vec![0u8; 4096];
+    let mut outs = vec![Vec::new(); 1000];
     let tier = zswap.tier(fast).expect("tier exists");
     let compressed: Vec<_> = (0..1000u64)
-        .map(|i| {
+        .zip(&mut outs)
+        .map(|(i, out)| {
             let class = match i % 10 {
                 0..=4 => PageClass::Text,
                 5..=7 => PageClass::Binary,
@@ -62,7 +65,7 @@ fn main() {
                 _ => PageClass::Incompressible,
             };
             class.fill(7, i, &mut buf);
-            tier.compress(&buf)
+            tier.compress_into(&buf, out)
         })
         .collect();
     let mut stored = Vec::new();

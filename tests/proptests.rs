@@ -498,8 +498,9 @@ proptest! {
                     if t != tsel && !s.is_same_filled() {
                         // The pure half reads the source and changes nothing.
                         let before = z.tier(tiers[t]).unwrap().stats();
+                        let mut out = Vec::new();
                         let c = z
-                            .recompress(tiers[t], tiers[tsel], s, &mut buf)
+                            .recompress(tiers[t], tiers[tsel], s, &mut buf, &mut out)
                             .expect("live source");
                         prop_assert_eq!(z.tier(tiers[t]).unwrap().stats(), before);
                         let inserted = z.tier_mut(tiers[tsel]).unwrap().insert(&c, s.original_len);
