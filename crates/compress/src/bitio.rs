@@ -51,11 +51,6 @@ impl BitWriter {
         self.buf
     }
 
-    /// Number of complete bytes written so far (excluding pending bits).
-    pub fn byte_len(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Total number of bits written so far.
     pub fn bit_len(&self) -> usize {
         self.buf.len() * 8 + self.nbits as usize
@@ -154,12 +149,6 @@ impl<'a> BitReader<'a> {
         self.nbits -= count;
         Ok(())
     }
-
-    /// Number of whole bits still available.
-    pub fn remaining_bits(&mut self) -> usize {
-        self.refill();
-        self.nbits as usize + (self.buf.len() - self.pos) * 8
-    }
 }
 
 /// Write an unsigned LEB128 varint to `dst`.
@@ -173,6 +162,11 @@ pub fn write_varint(dst: &mut Vec<u8>, mut v: u64) {
         }
         dst.push(byte | 0x80);
     }
+}
+
+/// Bytes [`write_varint`] writes for `v`.
+pub fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
 }
 
 /// Read an unsigned LEB128 varint from `src` starting at `*pos`.
@@ -257,7 +251,9 @@ mod tests {
         let mut buf = Vec::new();
         let values = [0u64, 1, 127, 128, 300, 16384, u32::MAX as u64, u64::MAX];
         for &v in &values {
+            let before = buf.len();
             write_varint(&mut buf, v);
+            assert_eq!(buf.len() - before, varint_len(v), "{v}");
         }
         let mut pos = 0;
         for &v in &values {

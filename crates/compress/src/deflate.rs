@@ -11,10 +11,10 @@
 //! the highest compression and decompression cost — the "high TCO savings,
 //! high latency" end of TierScape's tier spectrum.
 
-use crate::bitio::{read_varint, write_varint, BitReader, BitWriter};
-use crate::huffman::{code_lengths, read_lengths, write_lengths, Decoder, Encoder};
+use crate::bitio::{read_varint, varint_len, write_varint, BitReader, BitWriter};
+use crate::huffman::{code_lengths, lengths_len, read_lengths, write_lengths, Decoder, Encoder};
 use crate::lz77::{tokenize, Token};
-use crate::{decompress_declared, Algorithm, Codec, CodecError, Result, MAX_OUT};
+use crate::{compress_below, decompress_declared, Algorithm, Codec, CodecError, Result, MAX_OUT};
 
 /// End-of-block symbol in the literal/length alphabet.
 const EOB: usize = 256;
@@ -118,90 +118,89 @@ fn dist_code(dist: u32) -> (usize, u32, u32) {
 }
 
 /// Deflate-style codec.
-#[derive(Debug, Clone, Copy)]
-pub struct Deflate {
-    max_chain: usize,
-}
+#[derive(Debug, Default, Clone, Copy)]
+pub struct Deflate;
 
 impl Deflate {
-    /// Create a deflate codec with default effort.
+    /// Create a deflate codec.
     pub fn new() -> Self {
-        Deflate { max_chain: 64 }
-    }
-
-    /// Create with custom chain depth (higher = denser, slower).
-    pub fn with_effort(max_chain: usize) -> Self {
-        Deflate {
-            max_chain: max_chain.max(1),
-        }
+        Deflate
     }
 }
 
-impl Default for Deflate {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Hash-chain probes per position of [`Deflate`]'s lazy parser.
+const MAX_CHAIN: usize = 64;
 
 /// Entropy-encode a token stream with dynamic canonical Huffman tables
-/// (shared by [`Deflate`] and [`crate::zstd_lite::ZstdLite`]).
+/// (shared by [`Deflate`] and [`crate::zstd_lite::ZstdLite`]). The encoded
+/// size follows exactly from the histograms, the code lengths and the extra
+/// bits, so a stream that would not shrink is rejected before any of it is
+/// written.
 ///
 /// # Errors
 ///
 /// Returns [`CodecError::Incompressible`] when the encoded stream does not
 /// shrink below `src_len`.
 pub(crate) fn encode_tokens(tokens: &[Token], src_len: usize, dst: &mut Vec<u8>) -> Result<usize> {
-    let before = dst.len();
-    // Histogram both alphabets.
-    let mut lit_freq = vec![0u64; LITLEN_SYMS];
-    let mut dist_freq = vec![0u64; DIST_SYMS];
-    for t in tokens {
-        match *t {
-            Token::Literal(b) => lit_freq[b as usize] += 1,
-            Token::Match { len, dist } => {
-                lit_freq[length_code(len).0] += 1;
-                dist_freq[dist_code(dist).0] += 1;
-            }
-        }
-    }
-    lit_freq[EOB] += 1;
-
-    let lit_lens = code_lengths(&lit_freq);
-    let dist_lens = code_lengths(&dist_freq);
-    let lit_enc = Encoder::from_lengths(&lit_lens);
-    let dist_enc = Encoder::from_lengths(&dist_lens);
-
-    write_varint(dst, src_len as u64);
-    write_lengths(dst, &lit_lens);
-    write_lengths(dst, &dist_lens);
-
-    let mut w = BitWriter::new();
-    for t in tokens {
-        match *t {
-            Token::Literal(b) => lit_enc.encode(&mut w, b as usize),
-            Token::Match { len, dist } => {
-                let (sym, ebits, eval) = length_code(len);
-                lit_enc.encode(&mut w, sym);
-                if ebits > 0 {
-                    w.write_bits(eval as u64, ebits);
-                }
-                let (dsym, debits, deval) = dist_code(dist);
-                dist_enc.encode(&mut w, dsym);
-                if debits > 0 {
-                    w.write_bits(deval as u64, debits);
+    compress_below(src_len, dst, |dst, below| {
+        // Histogram both alphabets, and count the extra bits.
+        let mut lit_freq = vec![0u64; LITLEN_SYMS];
+        let mut dist_freq = vec![0u64; DIST_SYMS];
+        let mut extra_bits = 0u64;
+        for t in tokens {
+            match *t {
+                Token::Literal(b) => lit_freq[b as usize] += 1,
+                Token::Match { len, dist } => {
+                    let (sym, ebits, _) = length_code(len);
+                    let (dsym, debits, _) = dist_code(dist);
+                    lit_freq[sym] += 1;
+                    dist_freq[dsym] += 1;
+                    extra_bits += u64::from(ebits + debits);
                 }
             }
         }
-    }
-    lit_enc.encode(&mut w, EOB);
-    dst.extend_from_slice(&w.finish());
+        lit_freq[EOB] += 1;
 
-    let written = dst.len() - before;
-    if written >= src_len && src_len > 0 {
-        dst.truncate(before);
-        return Err(CodecError::Incompressible { input_len: src_len });
-    }
-    Ok(written)
+        let lit_lens = code_lengths(&lit_freq);
+        let dist_lens = code_lengths(&dist_freq);
+        let coded_bits = |freq: &[u64], lens: &[u32]| -> u64 {
+            freq.iter().zip(lens).map(|(&f, &l)| f * u64::from(l)).sum()
+        };
+        let bits =
+            coded_bits(&lit_freq, &lit_lens) + coded_bits(&dist_freq, &dist_lens) + extra_bits;
+        let header = varint_len(src_len as u64) + lengths_len(&lit_lens) + lengths_len(&dist_lens);
+        let end = dst.len() + header + bits.div_ceil(8) as usize;
+        below.check(end)?;
+
+        let lit_enc = Encoder::from_lengths(&lit_lens);
+        let dist_enc = Encoder::from_lengths(&dist_lens);
+        write_varint(dst, src_len as u64);
+        write_lengths(dst, &lit_lens);
+        write_lengths(dst, &dist_lens);
+
+        let mut w = BitWriter::new();
+        for t in tokens {
+            match *t {
+                Token::Literal(b) => lit_enc.encode(&mut w, b as usize),
+                Token::Match { len, dist } => {
+                    let (sym, ebits, eval) = length_code(len);
+                    lit_enc.encode(&mut w, sym);
+                    if ebits > 0 {
+                        w.write_bits(eval as u64, ebits);
+                    }
+                    let (dsym, debits, deval) = dist_code(dist);
+                    dist_enc.encode(&mut w, dsym);
+                    if debits > 0 {
+                        w.write_bits(deval as u64, debits);
+                    }
+                }
+            }
+        }
+        lit_enc.encode(&mut w, EOB);
+        dst.extend_from_slice(&w.finish());
+        debug_assert_eq!(dst.len(), end, "predicted deflate size");
+        Ok(())
+    })
 }
 
 /// Decode a stream produced by [`encode_tokens`] (shared decoder).
@@ -278,7 +277,7 @@ impl Codec for Deflate {
     }
 
     fn compress(&self, src: &[u8], dst: &mut Vec<u8>) -> Result<usize> {
-        let tokens = tokenize(src, 32 * 1024, self.max_chain, 258, true);
+        let tokens = tokenize(src, 32 * 1024, MAX_CHAIN, 258, true);
         encode_tokens(&tokens, src.len(), dst)
     }
 

@@ -4,7 +4,7 @@
 //! lengths are limited to [`MAX_CODE_LEN`] bits so the decoder can use a
 //! single-level lookup table that is cheap to rebuild per block.
 
-use crate::bitio::{BitReader, BitWriter};
+use crate::bitio::{varint_len, BitReader, BitWriter};
 use crate::{CodecError, Result};
 
 /// Maximum code length in bits. 12 bits keeps the decode table at 4096
@@ -245,11 +245,6 @@ impl Encoder {
         debug_assert!(len > 0, "encoding absent symbol {sym}");
         writer.write_code(code, len);
     }
-
-    /// Code length in bits for `sym` (0 if absent).
-    pub fn len_of(&self, sym: usize) -> u32 {
-        self.codes[sym].1
-    }
 }
 
 /// Serialize code lengths compactly: pairs of (length nibble-packed RLE).
@@ -258,13 +253,7 @@ impl Encoder {
 /// continuation when run > 15.
 pub fn write_lengths(dst: &mut Vec<u8>, lens: &[u32]) {
     crate::bitio::write_varint(dst, lens.len() as u64);
-    let mut i = 0;
-    while i < lens.len() {
-        let l = lens[i];
-        let mut run = 1usize;
-        while i + run < lens.len() && lens[i + run] == l {
-            run += 1;
-        }
+    for (l, run) in length_runs(lens) {
         debug_assert!(l <= 15);
         if run < 15 {
             dst.push(((l as u8) << 4) | run as u8);
@@ -272,8 +261,30 @@ pub fn write_lengths(dst: &mut Vec<u8>, lens: &[u32]) {
             dst.push(((l as u8) << 4) | 15);
             crate::bitio::write_varint(dst, (run - 15) as u64);
         }
-        i += run;
     }
+}
+
+/// Bytes [`write_lengths`] writes for `lens`.
+pub fn lengths_len(lens: &[u32]) -> usize {
+    let runs: usize = length_runs(lens)
+        .map(|(_, run)| match run {
+            0..15 => 1,
+            _ => 1 + varint_len((run - 15) as u64),
+        })
+        .sum();
+    varint_len(lens.len() as u64) + runs
+}
+
+/// The `(length, run)` pairs of equal lengths that [`write_lengths`]
+/// encodes, in order.
+fn length_runs(lens: &[u32]) -> impl Iterator<Item = (u32, usize)> + '_ {
+    let mut i = 0;
+    std::iter::from_fn(move || {
+        let l = *lens.get(i)?;
+        let run = lens[i..].iter().take_while(|&&x| x == l).count();
+        i += run;
+        Some((l, run))
+    })
 }
 
 /// Deserialize code lengths written by [`write_lengths`].
@@ -378,10 +389,16 @@ mod tests {
         ];
         let mut buf = Vec::new();
         write_lengths(&mut buf, &lens);
+        assert_eq!(buf.len(), lengths_len(&lens));
         let mut pos = 0;
         let restored = read_lengths(&buf, &mut pos).unwrap();
         assert_eq!(restored, lens);
         assert_eq!(pos, buf.len());
+        // A run past 15 + 127 takes a two-byte varint.
+        let long = vec![7u32; 300];
+        let mut buf = Vec::new();
+        write_lengths(&mut buf, &long);
+        assert_eq!(buf.len(), lengths_len(&long));
     }
 
     #[test]

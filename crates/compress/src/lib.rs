@@ -27,6 +27,12 @@
 //! * [`sw842`] — 8-byte-word template compressor modeled on the nx842
 //!   software fallback.
 //!
+//! They share [`lz77`] (the match finders and tokenizer), [`huffman`]
+//! (length-limited canonical Huffman codes) and [`bitio`] (bit and varint
+//! I/O). Every codec applies zswap's rejection rule the same way: a page
+//! whose output cannot end below its input length is rejected as
+//! [`CodecError::Incompressible`] before that much output is written.
+//!
 //! # Examples
 //!
 //! ```
@@ -43,7 +49,6 @@
 
 pub mod bitio;
 pub mod deflate;
-pub mod entropy;
 pub mod huffman;
 pub mod lz4;
 pub mod lz77;
@@ -135,6 +140,55 @@ fn decompress_declared(
         .ok_or(CodecError::Corrupt(PAST_BOUND))?
         .copy_from_slice(&buf);
     Ok(n)
+}
+
+/// zswap's rejection rule, in one place for every codec: a page is stored
+/// compressed only if its output ends below its input length. A codec
+/// checks the rule before each write, so it rejects a page before writing
+/// as many bytes as the page holds.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Below {
+    /// The length `dst` must stay below: its length at the start plus the
+    /// input length.
+    end: usize,
+    input_len: usize,
+}
+
+impl Below {
+    /// Fails with [`CodecError::Incompressible`] once `len`, a lower bound
+    /// on `dst`'s final length, reaches the end. An empty input is never
+    /// rejected.
+    #[inline]
+    pub(crate) fn check(self, len: usize) -> Result<()> {
+        if len >= self.end && self.input_len > 0 {
+            return Err(CodecError::Incompressible {
+                input_len: self.input_len,
+            });
+        }
+        Ok(())
+    }
+}
+
+/// Append the compressed form of an `input_len`-byte input to `dst` with
+/// `encode`, which calls [`Below::check`] before each write; returns the
+/// bytes written. On a reject `dst` is left as it was.
+pub(crate) fn compress_below(
+    input_len: usize,
+    dst: &mut Vec<u8>,
+    encode: impl FnOnce(&mut Vec<u8>, Below) -> Result<()>,
+) -> Result<usize> {
+    let before = dst.len();
+    let below = Below {
+        end: before + input_len,
+        input_len,
+    };
+    match encode(dst, below) {
+        Ok(()) => Ok(dst.len() - before),
+        Err(e) => {
+            dst.truncate(before);
+            Err(e)
+        }
+    }
 }
 
 /// A compression algorithm as configurable for a zswap tier.
@@ -238,7 +292,8 @@ pub trait Codec: Send + Sync {
     ///
     /// Returns [`CodecError::Incompressible`] if the output would be at least
     /// as large as the input (mirroring zswap's rejection of pages that do
-    /// not compress); the contents of `dst` are unspecified in that case.
+    /// not compress). `dst` is then left as it was; this crate's codecs
+    /// never grow it by the input length or more on the way.
     fn compress(&self, src: &[u8], dst: &mut Vec<u8>) -> Result<usize>;
 
     /// Decompress `src` appending to `dst`; returns the number of bytes written.

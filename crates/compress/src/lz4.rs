@@ -10,7 +10,9 @@
 //! past it.
 
 use crate::lz77::{copy_literals, copy_match_within};
-use crate::{decompress_growing, Algorithm, Codec, CodecError, Result, PAST_BOUND};
+use crate::{
+    compress_below, decompress_growing, Algorithm, Below, Codec, CodecError, Result, PAST_BOUND,
+};
 
 /// Minimum LZ4 match length.
 const MIN_MATCH: usize = 4;
@@ -31,31 +33,18 @@ impl Lz4 {
 }
 
 /// High-compression LZ4 variant (same stream format, stronger parser).
-#[derive(Debug, Clone, Copy)]
-pub struct Lz4hc {
-    /// Chain probes per position.
-    depth: usize,
-}
+#[derive(Debug, Default, Clone, Copy)]
+pub struct Lz4hc;
 
 impl Lz4hc {
-    /// Create an LZ4HC codec with the default search depth.
+    /// Create an LZ4HC codec.
     pub fn new() -> Self {
-        Lz4hc { depth: 64 }
-    }
-
-    /// Create with a custom search depth (compression effort level).
-    pub fn with_depth(depth: usize) -> Self {
-        Lz4hc {
-            depth: depth.max(1),
-        }
+        Lz4hc
     }
 }
 
-impl Default for Lz4hc {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Chain probes per position of [`Lz4hc`]'s parser.
+const HC_DEPTH: usize = 64;
 
 #[inline]
 fn hash4(bytes: &[u8], bits: u32) -> usize {
@@ -63,9 +52,29 @@ fn hash4(bytes: &[u8], bits: u32) -> usize {
     (v.wrapping_mul(0x9E37_79B1) >> (32 - bits)) as usize
 }
 
-/// Emit one LZ4 sequence: literals `src[lit_start..lit_end]` then a match.
-/// A `match_len` of 0 means "final literals-only sequence".
-fn emit_sequence(dst: &mut Vec<u8>, literals: &[u8], offset: usize, match_len: usize) {
+/// Bytes [`emit_sequence`] writes for `lit_len` literals and a match of
+/// `match_len` (0 for none).
+fn sequence_len(lit_len: usize, match_len: usize) -> usize {
+    let ext = |n: usize| if n >= 15 { (n - 15) / 255 + 1 } else { 0 };
+    let mat = if match_len == 0 {
+        0
+    } else {
+        2 + ext(match_len - MIN_MATCH)
+    };
+    1 + ext(lit_len) + lit_len + mat
+}
+
+/// Emit one LZ4 sequence, after checking that it leaves the output able to
+/// end below the input length: `literals` then a match. A `match_len` of 0
+/// means "final literals-only sequence".
+fn emit_sequence(
+    dst: &mut Vec<u8>,
+    below: Below,
+    literals: &[u8],
+    offset: usize,
+    match_len: usize,
+) -> Result<()> {
+    below.check(dst.len() + sequence_len(literals.len(), match_len))?;
     let lit_len = literals.len();
     let lit_nibble = lit_len.min(15) as u8;
     let mat_extra = if match_len == 0 {
@@ -95,6 +104,7 @@ fn emit_sequence(dst: &mut Vec<u8>, literals: &[u8], offset: usize, match_len: u
             dst.push(rem as u8);
         }
     }
+    Ok(())
 }
 
 thread_local! {
@@ -102,16 +112,24 @@ thread_local! {
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
-fn compress_greedy(src: &[u8], dst: &mut Vec<u8>) {
-    const HASH_BITS: u32 = 12;
+/// Greedy hash-table bits.
+const GREEDY_HASH_BITS: u32 = 12;
+
+fn compress_greedy(src: &[u8], dst: &mut Vec<u8>, below: Below) -> Result<()> {
     let mut table = GREEDY_TABLE.with(|t| std::mem::take(&mut *t.borrow_mut()));
     table.clear();
-    table.resize(1 << HASH_BITS, u32::MAX);
+    table.resize(1 << GREEDY_HASH_BITS, u32::MAX);
+    let result = parse_greedy(src, dst, below, &mut table);
+    GREEDY_TABLE.with(|t| *t.borrow_mut() = table);
+    result
+}
+
+fn parse_greedy(src: &[u8], dst: &mut Vec<u8>, below: Below, table: &mut [u32]) -> Result<()> {
     let mut anchor = 0usize;
     let mut pos = 0usize;
     let match_limit = src.len().saturating_sub(LAST_LITERALS + MIN_MATCH);
     while pos < match_limit {
-        let h = hash4(&src[pos..], HASH_BITS);
+        let h = hash4(&src[pos..], GREEDY_HASH_BITS);
         let cand = table[h] as usize;
         table[h] = pos as u32;
         let found = cand != u32::MAX as usize
@@ -128,20 +146,19 @@ fn compress_greedy(src: &[u8], dst: &mut Vec<u8>) {
             pos += 1;
             continue;
         }
-        emit_sequence(dst, &src[anchor..pos], pos - cand, len);
+        emit_sequence(dst, below, &src[anchor..pos], pos - cand, len)?;
         pos += len;
         anchor = pos;
         // Seed the table inside the match region sparsely for future matches.
         if pos < match_limit {
-            let h2 = hash4(&src[pos - 2..], HASH_BITS);
+            let h2 = hash4(&src[pos - 2..], GREEDY_HASH_BITS);
             table[h2] = (pos - 2) as u32;
         }
     }
-    emit_sequence(dst, &src[anchor..], 0, 0);
-    GREEDY_TABLE.with(|t| *t.borrow_mut() = table);
+    emit_sequence(dst, below, &src[anchor..], 0, 0)
 }
 
-fn compress_hc(src: &[u8], dst: &mut Vec<u8>, depth: usize) {
+fn compress_hc(src: &[u8], dst: &mut Vec<u8>, below: Below) -> Result<()> {
     const HASH_BITS: u32 = 15;
     let mut head = vec![i32::MIN; 1 << HASH_BITS];
     let mut prev = vec![i32::MIN; src.len()];
@@ -160,7 +177,7 @@ fn compress_hc(src: &[u8], dst: &mut Vec<u8>, depth: usize) {
         let h = hash4(&src[p..], HASH_BITS);
         let mut cand = head[h];
         let mut best = (0usize, 0usize);
-        let mut probes = depth;
+        let mut probes = HC_DEPTH;
         while cand != i32::MIN && probes > 0 {
             let c = cand as usize;
             if p - c > MAX_OFFSET {
@@ -218,13 +235,13 @@ fn compress_hc(src: &[u8], dst: &mut Vec<u8>, depth: usize) {
                 }
             }
         }
-        emit_sequence(dst, &src[anchor..pos], off, len);
+        emit_sequence(dst, below, &src[anchor..pos], off, len)?;
         let end = pos + len;
         insert_up_to(&mut head, &mut prev, &mut cursor, end);
         pos = end;
         anchor = pos;
     }
-    emit_sequence(dst, &src[anchor..], 0, 0);
+    emit_sequence(dst, below, &src[anchor..], 0, 0)
 }
 
 /// Read the 255-extension bytes of an lz4 length nibble onto `len`.
@@ -292,24 +309,18 @@ pub fn decode(src: &[u8], out: &mut [u8]) -> Result<usize> {
     }
 }
 
-fn compress_checked(src: &[u8], dst: &mut Vec<u8>, hc: Option<usize>) -> Result<usize> {
-    let before = dst.len();
-    if src.len() < MIN_MATCH + LAST_LITERALS {
-        emit_sequence(dst, src, 0, 0);
-    } else {
-        match hc {
-            None => compress_greedy(src, dst),
-            Some(depth) => compress_hc(src, dst, depth),
+/// Compress with the greedy or (`hc`) the chained parser; inputs too short
+/// for a match are one literals-only sequence.
+fn compress_checked(src: &[u8], dst: &mut Vec<u8>, hc: bool) -> Result<usize> {
+    compress_below(src.len(), dst, |dst, below| {
+        if src.len() < MIN_MATCH + LAST_LITERALS {
+            emit_sequence(dst, below, src, 0, 0)
+        } else if hc {
+            compress_hc(src, dst, below)
+        } else {
+            compress_greedy(src, dst, below)
         }
-    }
-    let written = dst.len() - before;
-    if written >= src.len() && !src.is_empty() {
-        dst.truncate(before);
-        return Err(CodecError::Incompressible {
-            input_len: src.len(),
-        });
-    }
-    Ok(written)
+    })
 }
 
 impl Codec for Lz4 {
@@ -318,7 +329,7 @@ impl Codec for Lz4 {
     }
 
     fn compress(&self, src: &[u8], dst: &mut Vec<u8>) -> Result<usize> {
-        compress_checked(src, dst, None)
+        compress_checked(src, dst, false)
     }
 
     fn decompress(&self, src: &[u8], dst: &mut Vec<u8>) -> Result<usize> {
@@ -336,7 +347,7 @@ impl Codec for Lz4hc {
     }
 
     fn compress(&self, src: &[u8], dst: &mut Vec<u8>) -> Result<usize> {
-        compress_checked(src, dst, Some(self.depth))
+        compress_checked(src, dst, true)
     }
 
     fn decompress(&self, src: &[u8], dst: &mut Vec<u8>) -> Result<usize> {

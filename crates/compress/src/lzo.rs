@@ -14,19 +14,21 @@
 //! shared [`crate::lz77::MatchFinder`]. Each position the parser stops at
 //! goes through its fused `find_and_insert` step, which hashes the position
 //! once to search the chain and then to link the position into it; positions
-//! inside an emitted match are only inserted. The parser gives up as soon as
-//! its output reaches the input length, since the page is rejected as
-//! incompressible at that point whatever follows. One parse loop serves both
-//! finder geometries (a page, or a larger input).
+//! inside an emitted match are only inserted. The parser gives up before the
+//! first op that would take its output to the input length, since the page
+//! is rejected as incompressible at that point whatever follows. One parse
+//! loop serves both finder geometries (a page, or a larger input).
 //!
 //! [`decode`] is the one decoder of both codecs: it writes into a slice whose
 //! length bounds the output and fails before any write past it.
 
-use crate::bitio::{read_varint, write_varint};
+use crate::bitio::{read_varint, varint_len, write_varint};
 use crate::lz77::{
     copy_literals, copy_match_within, LargeFinder, MatchFinder, PageFinder, PAGE_INPUT,
 };
-use crate::{decompress_growing, Algorithm, Codec, CodecError, Result, PAST_BOUND};
+use crate::{
+    compress_below, decompress_growing, Algorithm, Below, Codec, CodecError, Result, PAST_BOUND,
+};
 
 const MIN_MATCH: usize = 3;
 const MAX_OFFSET: usize = 65535;
@@ -68,6 +70,22 @@ impl LzoRle {
 impl Default for LzoRle {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// Bytes [`emit_literals`] writes for `n` literals.
+fn literals_len(n: usize) -> usize {
+    n + n.div_ceil(128)
+}
+
+/// Bytes [`emit_match`] writes for a match of `len` ([`emit_rle`] writes
+/// one more).
+fn match_op_len(len: usize) -> usize {
+    let m = len - MIN_MATCH;
+    3 + if m < 0x7f {
+        0
+    } else {
+        varint_len((m - 0x7f) as u64)
     }
 }
 
@@ -113,43 +131,32 @@ fn run_length(src: &[u8], pos: usize) -> usize {
     n
 }
 
-/// Drop the partial output of a page that did not shrink.
-fn reject(dst: &mut Vec<u8>, before: usize, input_len: usize) -> Result<usize> {
-    dst.truncate(before);
-    Err(CodecError::Incompressible { input_len })
-}
-
 fn compress_impl(src: &[u8], dst: &mut Vec<u8>, depth: usize, rle: bool) -> Result<usize> {
-    let before = dst.len();
-    if src.len() < MIN_MATCH {
-        if !src.is_empty() {
+    compress_below(src.len(), dst, |dst, below| {
+        if src.len() < MIN_MATCH {
+            below.check(dst.len() + literals_len(src.len()))?;
             emit_literals(dst, src);
+            Ok(())
+        } else if src.len() <= PAGE_INPUT {
+            PageFinder::with(src, MAX_OFFSET, depth, src.len(), |mf| {
+                parse(mf, dst, below, rle)
+            })
+        } else {
+            LargeFinder::with(src, MAX_OFFSET, depth, src.len(), |mf| {
+                parse(mf, dst, below, rle)
+            })
         }
-        let written = dst.len() - before;
-        if written >= src.len() && !src.is_empty() {
-            return reject(dst, before, src.len());
-        }
-        return Ok(written);
-    }
-    if src.len() <= PAGE_INPUT {
-        PageFinder::with(src, MAX_OFFSET, depth, src.len(), |mf| {
-            parse(mf, dst, before, rle)
-        })
-    } else {
-        LargeFinder::with(src, MAX_OFFSET, depth, src.len(), |mf| {
-            parse(mf, dst, before, rle)
-        })
-    }
+    })
 }
 
-/// The parse loop of lzo and lzo-rle, over either finder geometry. `before`
-/// is where this page's output starts in `dst`.
+/// The parse loop of lzo and lzo-rle, over either finder geometry. Each op
+/// is checked against `below` together with the literals pending before it.
 fn parse<const H: usize, const P: usize>(
     mf: &mut MatchFinder<'_, H, P>,
     dst: &mut Vec<u8>,
-    before: usize,
+    below: Below,
     rle: bool,
-) -> Result<usize> {
+) -> Result<()> {
     let src = mf.source();
     let mut anchor = 0usize;
     let mut pos = 0usize;
@@ -159,13 +166,9 @@ fn parse<const H: usize, const P: usize>(
         if rle {
             let run = run_length(src, pos);
             if run >= RLE_THRESHOLD {
-                if anchor < pos {
-                    emit_literals(dst, &src[anchor..pos]);
-                }
+                below.check(dst.len() + literals_len(pos - anchor) + match_op_len(run) + 1)?;
+                emit_literals(dst, &src[anchor..pos]);
                 emit_rle(dst, run, src[pos]);
-                if dst.len() - before >= src.len() {
-                    return reject(dst, before, src.len());
-                }
                 // Insert the head so later matches can reach the run.
                 mf.insert(pos);
                 pos += run;
@@ -175,13 +178,9 @@ fn parse<const H: usize, const P: usize>(
         }
         if let Some((len, off)) = mf.find_and_insert(pos) {
             let (best_len, best_off) = (len as usize, off as usize);
-            if anchor < pos {
-                emit_literals(dst, &src[anchor..pos]);
-            }
+            below.check(dst.len() + literals_len(pos - anchor) + match_op_len(best_len))?;
+            emit_literals(dst, &src[anchor..pos]);
             emit_match(dst, best_len, best_off);
-            if dst.len() - before >= src.len() {
-                return reject(dst, before, src.len());
-            }
             let end = pos + best_len;
             let mut p = pos + 1;
             // Sparse insertion keeps compression cost bounded on long matches.
@@ -195,14 +194,9 @@ fn parse<const H: usize, const P: usize>(
             pos += 1;
         }
     }
-    if anchor < src.len() {
-        emit_literals(dst, &src[anchor..]);
-    }
-    let written = dst.len() - before;
-    if written >= src.len() {
-        return reject(dst, before, src.len());
-    }
-    Ok(written)
+    below.check(dst.len() + literals_len(src.len() - anchor))?;
+    emit_literals(dst, &src[anchor..]);
+    Ok(())
 }
 
 /// Decode an LZO/LZO-RLE stream into `out`, whose length bounds the

@@ -15,8 +15,10 @@
 //! typically worse ratio, which is why the paper lists it in Table 1 but
 //! selects other codecs for its evaluation tiers.
 
-use crate::bitio::{read_varint, write_varint, BitReader, BitWriter};
-use crate::{decompress_declared, Algorithm, Codec, CodecError, Result, MAX_OUT};
+use crate::bitio::{read_varint, varint_len, write_varint, BitReader, BitWriter};
+use crate::{
+    compress_below, decompress_declared, Algorithm, Below, Codec, CodecError, Result, MAX_OUT,
+};
 use std::collections::HashMap;
 
 const TPL_LIT: u64 = 0b00;
@@ -46,78 +48,7 @@ impl Codec for Sw842 {
     }
 
     fn compress(&self, src: &[u8], dst: &mut Vec<u8>) -> Result<usize> {
-        let before = dst.len();
-        let nwords = src.len() / 8;
-        write_varint(dst, src.len() as u64);
-        write_varint(dst, nwords as u64);
-
-        let mut word_dict: HashMap<u64, u32> = HashMap::with_capacity(nwords);
-        let mut half_dict: HashMap<u32, u32> = HashMap::with_capacity(nwords * 2);
-        let mut w = BitWriter::new();
-
-        for i in 0..nwords {
-            let word = u64::from_le_bytes(src[i * 8..i * 8 + 8].try_into().expect("8 bytes"));
-            let lo = word as u32;
-            let hi = (word >> 32) as u32;
-            let wi = i as u32;
-            let hi_idx = wi * 2 + 1; // Half-word index of the high half.
-            let lo_idx = wi * 2;
-
-            let word_hit = word_dict
-                .get(&word)
-                .map(|&p| wi - p)
-                .filter(|&d| (1..(1 << WORD_DIST_BITS)).contains(&d));
-            let half_hit = |dict: &HashMap<u32, u32>, v: u32, cur_half: u32| {
-                dict.get(&v)
-                    .map(|&p| cur_half - p)
-                    .filter(|&d| (1..(1 << HALF_DIST_BITS)).contains(&d))
-            };
-
-            if let Some(d) = word_hit {
-                w.write_bits(TPL_WORD, 2);
-                w.write_bits(d as u64, WORD_DIST_BITS);
-            } else {
-                let lo_hit = half_hit(&half_dict, lo, lo_idx);
-                // `hi` may reference `lo` of the same word (distance 1).
-                let hi_hit = if lo == hi {
-                    Some(1)
-                } else {
-                    half_hit(&half_dict, hi, hi_idx)
-                };
-                match (lo_hit, hi_hit) {
-                    (Some(dl), Some(dh)) => {
-                        w.write_bits(TPL_HALF2, 2);
-                        w.write_bits(dl as u64, HALF_DIST_BITS);
-                        w.write_bits(dh as u64, HALF_DIST_BITS);
-                    }
-                    (Some(dl), None) => {
-                        w.write_bits(TPL_HALF_LIT, 2);
-                        w.write_bits(dl as u64, HALF_DIST_BITS);
-                        w.write_bits(hi as u64, 32);
-                    }
-                    _ => {
-                        w.write_bits(TPL_LIT, 2);
-                        // 64 bits exceed the single-call limit; split.
-                        w.write_bits(word & 0xffff_ffff, 32);
-                        w.write_bits(word >> 32, 32);
-                    }
-                }
-            }
-            word_dict.insert(word, wi);
-            half_dict.insert(lo, lo_idx);
-            half_dict.insert(hi, hi_idx);
-        }
-        dst.extend_from_slice(&w.finish());
-        dst.extend_from_slice(&src[nwords * 8..]);
-
-        let written = dst.len() - before;
-        if written >= src.len() && !src.is_empty() {
-            dst.truncate(before);
-            return Err(CodecError::Incompressible {
-                input_len: src.len(),
-            });
-        }
-        Ok(written)
+        compress_below(src.len(), dst, |dst, below| compress_words(src, dst, below))
     }
 
     fn decompress(&self, src: &[u8], dst: &mut Vec<u8>) -> Result<usize> {
@@ -215,6 +146,78 @@ impl Codec for Sw842 {
     fn decompress_into(&self, src: &[u8], out: &mut [u8]) -> Result<usize> {
         decompress_declared(src, out, |src, dst| self.decompress(src, dst))
     }
+}
+
+/// Encode `src` as 8-byte words, checking `below` as the bits accumulate:
+/// the header and the raw tail are counted from the start, and the header
+/// is written only once the whole page fits.
+fn compress_words(src: &[u8], dst: &mut Vec<u8>, below: Below) -> Result<()> {
+    let nwords = src.len() / 8;
+    let tail = &src[nwords * 8..];
+    let fixed = dst.len() + varint_len(src.len() as u64) + varint_len(nwords as u64) + tail.len();
+    let mut word_dict: HashMap<u64, u32> = HashMap::with_capacity(nwords);
+    let mut half_dict: HashMap<u32, u32> = HashMap::with_capacity(nwords * 2);
+    let mut w = BitWriter::new();
+
+    for i in 0..nwords {
+        let word = u64::from_le_bytes(src[i * 8..i * 8 + 8].try_into().expect("8 bytes"));
+        let lo = word as u32;
+        let hi = (word >> 32) as u32;
+        let wi = i as u32;
+        let hi_idx = wi * 2 + 1; // Half-word index of the high half.
+        let lo_idx = wi * 2;
+
+        let word_hit = word_dict
+            .get(&word)
+            .map(|&p| wi - p)
+            .filter(|&d| (1..(1 << WORD_DIST_BITS)).contains(&d));
+        let half_hit = |dict: &HashMap<u32, u32>, v: u32, cur_half: u32| {
+            dict.get(&v)
+                .map(|&p| cur_half - p)
+                .filter(|&d| (1..(1 << HALF_DIST_BITS)).contains(&d))
+        };
+
+        if let Some(d) = word_hit {
+            w.write_bits(TPL_WORD, 2);
+            w.write_bits(d as u64, WORD_DIST_BITS);
+        } else {
+            let lo_hit = half_hit(&half_dict, lo, lo_idx);
+            // `hi` may reference `lo` of the same word (distance 1).
+            let hi_hit = if lo == hi {
+                Some(1)
+            } else {
+                half_hit(&half_dict, hi, hi_idx)
+            };
+            match (lo_hit, hi_hit) {
+                (Some(dl), Some(dh)) => {
+                    w.write_bits(TPL_HALF2, 2);
+                    w.write_bits(dl as u64, HALF_DIST_BITS);
+                    w.write_bits(dh as u64, HALF_DIST_BITS);
+                }
+                (Some(dl), None) => {
+                    w.write_bits(TPL_HALF_LIT, 2);
+                    w.write_bits(dl as u64, HALF_DIST_BITS);
+                    w.write_bits(hi as u64, 32);
+                }
+                _ => {
+                    w.write_bits(TPL_LIT, 2);
+                    // 64 bits exceed the single-call limit; split.
+                    w.write_bits(word & 0xffff_ffff, 32);
+                    w.write_bits(word >> 32, 32);
+                }
+            }
+        }
+        word_dict.insert(word, wi);
+        half_dict.insert(lo, lo_idx);
+        half_dict.insert(hi, hi_idx);
+        below.check(fixed + w.bit_len().div_ceil(8))?;
+    }
+    below.check(fixed + w.bit_len().div_ceil(8))?;
+    write_varint(dst, src.len() as u64);
+    write_varint(dst, nwords as u64);
+    dst.extend_from_slice(&w.finish());
+    dst.extend_from_slice(tail);
+    Ok(())
 }
 
 #[cfg(test)]

@@ -15,35 +15,28 @@ use std::collections::BTreeMap;
 use ts_sim::{Placement, TieredSystem};
 use ts_telemetry::HotnessSnapshot;
 
+/// A region is "rising" when `hotness > RISE_FACTOR * previous`.
+const RISE_FACTOR: f64 = 1.5;
+/// Minimum hotness for the trend to count (filters noise).
+const MIN_HOTNESS: f64 = 1.0;
+
 /// A prefetching wrapper around any placement policy.
 #[derive(Debug)]
 pub struct PrefetchingPolicy<P> {
     inner: P,
-    /// A region is "rising" when `hotness > rise_factor * previous`.
-    pub rise_factor: f64,
-    /// Minimum hotness for the trend to count (filters noise).
-    pub min_hotness: f64,
     prev: BTreeMap<u64, f64>,
     /// Regions promoted by the prefetcher in the last plan (observability).
     pub last_prefetches: u64,
 }
 
 impl<P: PlacementPolicy> PrefetchingPolicy<P> {
-    /// Wrap `inner` with default trend thresholds.
+    /// Wrap `inner`.
     pub fn new(inner: P) -> Self {
         PrefetchingPolicy {
             inner,
-            rise_factor: 1.5,
-            min_hotness: 1.0,
             prev: BTreeMap::new(),
             last_prefetches: 0,
         }
-    }
-
-    /// Adjust the rise detection threshold.
-    pub fn with_rise_factor(mut self, f: f64) -> Self {
-        self.rise_factor = f.max(1.0);
-        self
     }
 }
 
@@ -61,8 +54,7 @@ impl<P: PlacementPolicy> PlacementPolicy for PrefetchingPolicy<P> {
             }
             let h = snapshot.hotness(entry.region);
             let prev = self.prev.get(&entry.region).copied().unwrap_or(0.0);
-            let rising =
-                h >= self.min_hotness && (prev <= 0.0 || h > prev * self.rise_factor) && h > prev;
+            let rising = h >= MIN_HOTNESS && (prev <= 0.0 || h > prev * RISE_FACTOR) && h > prev;
             if rising {
                 entry.dest = Placement::Dram;
                 self.last_prefetches += 1;

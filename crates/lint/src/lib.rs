@@ -23,7 +23,7 @@
 //! | `thread-hygiene` | `thread::spawn`/`scope`/`Builder` only in the migration worker pool module |
 //! | `bad-allow` | `// ts-lint: allow(<rule>) -- <reason>` grammar: the reason is mandatory and the rule name must exist |
 //!
-//! ## Suppressions and the ratchet
+//! ## Suppressions and the gate
 //!
 //! A violation is suppressed by an inline directive on the same line or on
 //! a standalone comment line immediately above:
@@ -33,24 +33,16 @@
 //! let t0 = Instant::now();
 //! ```
 //!
-//! Pre-existing violations are grandfathered in a budget file
-//! (`tests/golden/lint_budget.json`): per `(rule, file)` the current count
-//! may be at most the budgeted count, so counts can only ratchet downward.
-//! `scripts/update-lint-budget.sh` regenerates the budget after intentional
-//! fixes.
+//! Any live (unsuppressed) finding fails the gate: the `ts-lint` binary
+//! exits 1.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-pub mod budget;
 pub mod mask;
 
-pub use budget::Budget;
 pub use mask::Masked;
-
-/// Default budget file location, relative to the workspace root.
-pub const BUDGET_REL_PATH: &str = "tests/golden/lint_budget.json";
 
 // ---------------------------------------------------------------------------
 // Rules
@@ -84,7 +76,7 @@ impl Rule {
         Rule::BadAllow,
     ];
 
-    /// Kebab-case rule name as used in directives and the budget file.
+    /// Kebab-case rule name as used in directives and reports.
     pub fn name(self) -> &'static str {
         match self {
             Rule::NoWallClock => "no-wall-clock",
@@ -676,67 +668,16 @@ pub fn scan_root(root: &Path) -> std::io::Result<Vec<Finding>> {
 }
 
 // ---------------------------------------------------------------------------
-// Reconciliation against the budget
-// ---------------------------------------------------------------------------
-
-/// Outcome of checking current findings against the grandfathered budget.
-#[derive(Debug, Clone, Default)]
-pub struct Reconciliation {
-    /// `(rule, path, current, budgeted)` where current > budgeted — failures.
-    pub over: Vec<(String, String, u64, u64)>,
-    /// `(rule, path, current, budgeted)` where current < budgeted — the
-    /// budget is stale; ratchet it down with scripts/update-lint-budget.sh.
-    pub stale: Vec<(String, String, u64, u64)>,
-}
-
-impl Reconciliation {
-    /// True when no (rule, file) exceeds its budget.
-    pub fn ok(&self) -> bool {
-        self.over.is_empty()
-    }
-}
-
-/// Count live (unsuppressed) findings per `(rule, path)`.
-pub fn live_counts(findings: &[Finding]) -> BTreeMap<(String, String), u64> {
-    let mut counts: BTreeMap<(String, String), u64> = BTreeMap::new();
-    for f in findings.iter().filter(|f| !f.suppressed) {
-        *counts
-            .entry((f.rule.name().to_string(), f.path.clone()))
-            .or_insert(0) += 1;
-    }
-    counts
-}
-
-/// Compare current findings to the budget. Every live finding must fit
-/// under its `(rule, file)` budget; files absent from the budget have a
-/// budget of zero.
-pub fn reconcile(findings: &[Finding], budget: &Budget) -> Reconciliation {
-    let counts = live_counts(findings);
-    let mut rec = Reconciliation::default();
-    for ((rule, path), &n) in &counts {
-        let allowed = budget.get(rule, path);
-        if n > allowed {
-            rec.over.push((rule.clone(), path.clone(), n, allowed));
-        } else if n < allowed {
-            rec.stale.push((rule.clone(), path.clone(), n, allowed));
-        }
-    }
-    for ((rule, path), &allowed) in &budget.entries {
-        if !counts.contains_key(&(rule.clone(), path.clone())) && allowed > 0 {
-            rec.stale.push((rule.clone(), path.clone(), 0, allowed));
-        }
-    }
-    rec.stale.sort();
-    rec.over.sort();
-    rec
-}
-
-// ---------------------------------------------------------------------------
 // Report rendering
 // ---------------------------------------------------------------------------
 
+/// True when no finding is live: the gate passes.
+pub fn is_clean(findings: &[Finding]) -> bool {
+    findings.iter().all(|f| f.suppressed)
+}
+
 /// Render the human-readable report.
-pub fn render_text(findings: &[Finding], rec: &Reconciliation, show_suppressed: bool) -> String {
+pub fn render_text(findings: &[Finding], show_suppressed: bool) -> String {
     let mut out = String::new();
     for f in findings {
         if f.suppressed && !show_suppressed {
@@ -757,33 +698,40 @@ pub fn render_text(findings: &[Finding], rec: &Reconciliation, show_suppressed: 
         }
     }
     let live = findings.iter().filter(|f| !f.suppressed).count();
-    let suppressed = findings.iter().filter(|f| f.suppressed).count();
+    let suppressed = findings.len() - live;
     let _ = writeln!(
         out,
         "ts-lint: {live} finding(s), {suppressed} suppressed by allow-directives"
     );
-    for (rule, path, n, b) in &rec.over {
-        let _ = writeln!(
-            out,
-            "OVER BUDGET [{rule}] {path}: {n} finding(s) > budget {b}"
-        );
-    }
-    for (rule, path, n, b) in &rec.stale {
-        let _ = writeln!(
-            out,
-            "ratchet: [{rule}] {path}: {n} < budget {b} — run scripts/update-lint-budget.sh"
-        );
-    }
-    if rec.ok() {
-        out.push_str("ts-lint: OK (within budget)\n");
+    out.push_str(if live == 0 {
+        "ts-lint: OK\n"
     } else {
-        out.push_str("ts-lint: FAIL (budget exceeded)\n");
+        "ts-lint: FAIL (live findings)\n"
+    });
+    out
+}
+
+/// Escape a string for embedding in JSON output.
+fn esc(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if c < ' ' => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
     }
     out
 }
 
 /// Render the machine-readable JSON findings document.
-pub fn render_json(findings: &[Finding], rec: &Reconciliation) -> String {
+pub fn render_json(findings: &[Finding]) -> String {
     let mut out = String::with_capacity(4096);
     out.push_str("{\n  \"version\": 1,\n  \"rules\": {");
     let mut first = true;
@@ -818,40 +766,14 @@ pub fn render_json(findings: &[Finding], rec: &Reconciliation) -> String {
             "\n    {{\"rule\": \"{}\", \"path\": \"{}\", \"line\": {}, \
              \"suppressed\": {}, \"message\": \"{}\", \"snippet\": \"{}\"}}",
             f.rule.name(),
-            budget::esc(&f.path),
+            esc(&f.path),
             f.line,
             f.suppressed,
-            budget::esc(&f.message),
-            budget::esc(&f.snippet)
+            esc(&f.message),
+            esc(&f.snippet)
         );
     }
-    out.push_str("\n  ],\n  \"budget\": {\"over\": [");
-    let mut first = true;
-    for (rule, path, n, b) in &rec.over {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "\n    {{\"rule\": \"{rule}\", \"path\": \"{}\", \"count\": {n}, \"budget\": {b}}}",
-            budget::esc(path)
-        );
-    }
-    out.push_str("\n  ], \"stale\": [");
-    let mut first = true;
-    for (rule, path, n, b) in &rec.stale {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "\n    {{\"rule\": \"{rule}\", \"path\": \"{}\", \"count\": {n}, \"budget\": {b}}}",
-            budget::esc(path)
-        );
-    }
-    let _ = write!(out, "\n  ]}},\n  \"ok\": {}\n}}\n", rec.ok());
+    let _ = write!(out, "\n  ],\n  \"ok\": {}\n}}\n", is_clean(findings));
     out
 }
 
@@ -1039,41 +961,19 @@ fn uncovered(o: Option<u32>) -> u32 { o.unwrap() }
     }
 
     #[test]
-    fn reconcile_budget_over_and_stale() {
-        let src = "fn f(o: Option<u32>) -> u32 { o.unwrap() }\nfn g(o: Option<u32>) -> u32 { o.unwrap() }";
-        let findings = scan_source("crates/core/src/x.rs", src);
-        assert_eq!(findings.len(), 2);
-
-        let mut b = Budget::default();
-        b.set("no-bare-unwrap", "crates/core/src/x.rs", 2);
-        assert!(reconcile(&findings, &b).ok());
-
-        b.set("no-bare-unwrap", "crates/core/src/x.rs", 1);
-        let rec = reconcile(&findings, &b);
-        assert!(!rec.ok());
-        assert_eq!(rec.over.len(), 1);
-
-        b.set("no-bare-unwrap", "crates/core/src/x.rs", 5);
-        let rec = reconcile(&findings, &b);
-        assert!(rec.ok());
-        assert_eq!(rec.stale.len(), 1);
-    }
-
-    #[test]
-    fn json_report_is_well_formed_enough() {
+    fn json_report_flags_live_findings() {
         let findings = scan_source(
             "crates/core/src/x.rs",
             "fn f(o: Option<u32>) -> u32 { o.unwrap() }",
         );
-        let rec = reconcile(&findings, &Budget::default());
-        let json = render_json(&findings, &rec);
+        assert!(!is_clean(&findings));
+        let json = render_json(&findings);
         assert!(json.contains("\"no-bare-unwrap\""));
         assert!(json.contains("\"ok\": false"));
-        // Round-trips through the budget module's parser.
-        let v = budget::parse_json(&json).expect("render_json emits valid JSON");
-        let budget::Json::Object(o) = v else {
-            panic!("top level must be an object")
-        };
-        assert!(o.contains_key("findings"));
+    }
+
+    #[test]
+    fn esc_escapes_specials() {
+        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 }

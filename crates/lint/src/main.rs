@@ -3,48 +3,35 @@
 //! `ts-lint` — the workspace determinism & robustness static-analysis gate.
 //!
 //! ```text
-//! ts-lint [--root DIR] [--budget FILE | --no-budget] [--format text|json]
-//!         [--out FILE] [--write-budget FILE] [--show-suppressed]
+//! ts-lint [--root DIR] [--format text|json] [--out FILE] [--show-suppressed]
 //! ```
 //!
-//! Exit codes: 0 = clean (within budget), 1 = violations over budget,
+//! Exit codes: 0 = no live finding, 1 = at least one live finding,
 //! 2 = usage or I/O error.
 //!
 //! Default root is the enclosing cargo workspace (found by walking up from
-//! the current directory); default budget is
-//! `tests/golden/lint_budget.json` under the root. `--write-budget`
-//! regenerates the budget from the current findings (the ratchet's
-//! "accept fixes" step — see `scripts/update-lint-budget.sh`).
+//! the current directory).
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use ts_lint::{budget::Budget, reconcile, render_json, render_text, scan_root, BUDGET_REL_PATH};
+use ts_lint::{is_clean, render_json, render_text, scan_root};
 
 struct Opts {
     root: Option<PathBuf>,
-    budget: Option<PathBuf>,
-    no_budget: bool,
-    write_budget: Option<PathBuf>,
     json: bool,
     out: Option<PathBuf>,
     show_suppressed: bool,
 }
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: ts-lint [--root DIR] [--budget FILE | --no-budget] \
-         [--format text|json] [--out FILE] [--write-budget FILE] [--show-suppressed]"
-    );
+    eprintln!("usage: ts-lint [--root DIR] [--format text|json] [--out FILE] [--show-suppressed]");
     std::process::exit(2);
 }
 
 fn parse_args() -> Opts {
     let mut opts = Opts {
         root: None,
-        budget: None,
-        no_budget: false,
-        write_budget: None,
         json: false,
         out: None,
         show_suppressed: false,
@@ -59,9 +46,6 @@ fn parse_args() -> Opts {
         };
         match a.as_str() {
             "--root" => opts.root = Some(path_arg(&mut args)),
-            "--budget" => opts.budget = Some(path_arg(&mut args)),
-            "--no-budget" => opts.no_budget = true,
-            "--write-budget" => opts.write_budget = Some(path_arg(&mut args)),
             "--out" => opts.out = Some(path_arg(&mut args)),
             "--format" => match args.next().as_deref() {
                 Some("json") => opts.json = true,
@@ -128,52 +112,10 @@ fn main() -> ExitCode {
         }
     };
 
-    if let Some(path) = &opts.write_budget {
-        let budget = Budget::from_findings(&findings);
-        if let Err(e) = std::fs::write(path, budget.to_json()) {
-            eprintln!("ts-lint: cannot write budget {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "ts-lint: wrote budget {} ({} grandfathered finding(s) across {} entries)",
-            path.display(),
-            budget.total(),
-            budget.entries.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let budget = if opts.no_budget {
-        Budget::default()
-    } else {
-        let path = opts
-            .budget
-            .clone()
-            .unwrap_or_else(|| root.join(BUDGET_REL_PATH));
-        match std::fs::read_to_string(&path) {
-            Ok(text) => match Budget::parse(&text) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("ts-lint: {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            },
-            Err(_) if opts.budget.is_none() => {
-                // No checked-in budget: everything must be clean.
-                Budget::default()
-            }
-            Err(e) => {
-                eprintln!("ts-lint: cannot read budget {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        }
-    };
-
-    let rec = reconcile(&findings, &budget);
     let report = if opts.json {
-        render_json(&findings, &rec)
+        render_json(&findings)
     } else {
-        render_text(&findings, &rec, opts.show_suppressed)
+        render_text(&findings, opts.show_suppressed)
     };
     if let Some(out) = &opts.out {
         if let Err(e) = std::fs::write(out, &report) {
@@ -182,13 +124,13 @@ fn main() -> ExitCode {
         }
         // Keep the human summary on stdout even when the JSON went to a file.
         if opts.json {
-            print!("{}", render_text(&findings, &rec, opts.show_suppressed));
+            print!("{}", render_text(&findings, opts.show_suppressed));
         }
     } else {
         print!("{report}");
     }
 
-    if rec.ok() {
+    if is_clean(&findings) {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

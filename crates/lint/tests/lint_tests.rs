@@ -1,11 +1,11 @@
 //! Integration tests for ts-lint: fixture coverage (each rule fires exactly
-//! once on its fixture tree), the workspace self-check under the shipped
-//! budget, the ratchet semantics, and the binary's exit codes.
+//! once on its fixture tree), the workspace self-check, and the binary's
+//! exit codes and JSON report.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use ts_lint::{budget::Budget, reconcile, scan_root, Rule, BUDGET_REL_PATH};
+use ts_lint::{scan_root, Rule};
 
 fn fixture(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -54,57 +54,15 @@ fn clean_fixture_has_no_live_findings_and_one_suppression() {
 }
 
 #[test]
-fn workspace_passes_under_shipped_budget() {
-    let root = workspace_root();
-    let findings = scan_root(&root).expect("workspace scans");
-    let budget_path = root.join(BUDGET_REL_PATH);
-    let text = std::fs::read_to_string(&budget_path)
-        .unwrap_or_else(|e| panic!("shipped budget {} must exist: {e}", budget_path.display()));
-    let budget = Budget::parse(&text).expect("shipped budget parses");
-    let rec = reconcile(&findings, &budget);
-    assert!(
-        rec.ok(),
-        "workspace exceeds its lint budget: {:?}",
-        rec.over
-    );
+fn workspace_has_no_live_findings() {
+    let findings = scan_root(&workspace_root()).expect("workspace scans");
+    let live: Vec<_> = findings.iter().filter(|f| !f.suppressed).collect();
+    assert!(live.is_empty(), "workspace has live findings: {live:?}");
     // Every suppression must carry a reason (the scanner only suppresses
     // with one, so this is a sanity check on the invariant).
     for f in findings.iter().filter(|f| f.suppressed) {
         assert!(f.reason.is_some(), "suppressed without reason: {f:?}");
     }
-}
-
-#[test]
-fn ratchet_counts_only_decrease() {
-    // A budget above the live count is stale (must be ratcheted down), a
-    // budget below it fails; equality is the steady state.
-    let findings = scan_root(&fixture("bare_unwrap")).expect("fixture scans");
-    let live = findings.iter().filter(|f| !f.suppressed).count() as u64;
-    assert_eq!(live, 1);
-
-    let mut exact = Budget::default();
-    exact.set("no-bare-unwrap", "crates/core/src/lib.rs", live);
-    let rec = reconcile(&findings, &exact);
-    assert!(rec.ok() && rec.stale.is_empty());
-
-    let mut loose = Budget::default();
-    loose.set("no-bare-unwrap", "crates/core/src/lib.rs", live + 3);
-    let rec = reconcile(&findings, &loose);
-    assert!(rec.ok());
-    assert_eq!(rec.stale.len(), 1, "looser budget must be reported stale");
-
-    let tight = Budget::default();
-    let rec = reconcile(&findings, &tight);
-    assert!(!rec.ok(), "zero budget must fail on a live finding");
-}
-
-#[test]
-fn budget_round_trips_through_json() {
-    let mut b = Budget::default();
-    b.set("no-bare-unwrap", "crates/core/src/daemon.rs", 2);
-    b.set("no-wall-clock", "crates/core/src/remote.rs", 1);
-    let parsed = Budget::parse(&b.to_json()).expect("round trip");
-    assert_eq!(parsed.entries, b.entries);
 }
 
 // --- binary-level checks -------------------------------------------------
@@ -141,7 +99,6 @@ fn binary_exits_nonzero_on_each_rule_fixture() {
         let out = ts_lint()
             .arg("--root")
             .arg(fixture(name))
-            .arg("--no-budget")
             .output()
             .expect("ts-lint runs");
         assert_eq!(
@@ -154,23 +111,42 @@ fn binary_exits_nonzero_on_each_rule_fixture() {
 }
 
 #[test]
+fn binary_exits_zero_on_clean_fixture() {
+    let out = ts_lint()
+        .arg("--root")
+        .arg(fixture("clean"))
+        .output()
+        .expect("ts-lint runs");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
+
+#[test]
 fn binary_json_report_parses_and_flags_fixture() {
     let out = ts_lint()
         .arg("--root")
         .arg(fixture("float_ordering"))
-        .arg("--no-budget")
         .arg("--format")
         .arg("json")
         .output()
         .expect("ts-lint runs");
-    let json = String::from_utf8_lossy(&out.stdout);
-    let v = ts_lint::budget::parse_json(&json).expect("JSON output parses");
-    let ts_lint::budget::Json::Object(o) = v else {
-        panic!("top level must be an object")
-    };
-    assert!(o.contains_key("findings"));
-    assert!(json.contains("\"float-ordering\""));
     assert_eq!(out.status.code(), Some(1));
+    let json = String::from_utf8_lossy(&out.stdout);
+    let v: serde_json::Value = serde_json::from_str(&json).expect("JSON output parses");
+    let top = v.as_object().expect("top level is an object");
+    assert_eq!(top["ok"].as_bool(), Some(false));
+    let live = top["rules"]
+        .as_object()
+        .and_then(|r| r["float-ordering"].as_object());
+    assert_eq!(live.and_then(|r| r["live"].as_u64()), Some(1));
+    let findings = top["findings"].as_array().expect("findings is an array");
+    assert_eq!(findings.len(), 1);
+    let rule = findings[0].as_object().and_then(|f| f["rule"].as_str());
+    assert_eq!(rule, Some("float-ordering"));
 }
 
 #[test]

@@ -3,7 +3,7 @@
 use crate::buddy::{BuddyAllocator, BuddyError};
 use crate::media::{MediaKind, MediaSpec};
 use crate::{FrameNumber, PhysFrame, PAGE_SIZE};
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Identifier of a NUMA node within a [`Machine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -30,6 +30,12 @@ impl NumaNode {
         }
     }
 
+    /// The node's allocator. A panic on another thread while it held the
+    /// lock does not poison it: the allocator is used as that thread left it.
+    fn buddy(&self) -> MutexGuard<'_, BuddyAllocator> {
+        self.buddy.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Node identifier.
     pub fn id(&self) -> NodeId {
         self.id
@@ -52,7 +58,7 @@ impl NumaNode {
 
     /// Bytes currently free.
     pub fn free_bytes(&self) -> u64 {
-        self.buddy.lock().free_frames() * PAGE_SIZE as u64
+        self.buddy().free_frames() * PAGE_SIZE as u64
     }
 
     /// Bytes currently allocated.
@@ -74,7 +80,7 @@ impl NumaNode {
     ///
     /// [`BuddyError::OutOfMemory`] when the node is full.
     pub fn alloc_frame(&self) -> Result<FrameNumber, BuddyError> {
-        self.buddy.lock().alloc(0)
+        self.buddy().alloc(0)
     }
 
     /// Allocate `2^order` contiguous frames.
@@ -83,7 +89,7 @@ impl NumaNode {
     ///
     /// See [`BuddyAllocator::alloc`].
     pub fn alloc_block(&self, order: u32) -> Result<FrameNumber, BuddyError> {
-        self.buddy.lock().alloc(order)
+        self.buddy().alloc(order)
     }
 
     /// Free a frame or block previously allocated from this node.
@@ -92,7 +98,7 @@ impl NumaNode {
     ///
     /// [`BuddyError::InvalidFree`] on double free or unknown frame.
     pub fn free_frame(&self, frame: FrameNumber) -> Result<(), BuddyError> {
-        self.buddy.lock().free(frame)
+        self.buddy().free(frame)
     }
 }
 
@@ -164,12 +170,6 @@ impl MachineBuilder {
     /// Add a node of `kind` with default spec and `capacity_bytes` capacity.
     pub fn node(mut self, kind: MediaKind, capacity_bytes: u64) -> Self {
         self.nodes.push((kind.default_spec(), capacity_bytes));
-        self
-    }
-
-    /// Add a node with a custom spec.
-    pub fn node_with_spec(mut self, spec: MediaSpec, capacity_bytes: u64) -> Self {
-        self.nodes.push((spec, capacity_bytes));
         self
     }
 

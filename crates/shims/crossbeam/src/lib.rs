@@ -1,167 +1,1 @@
-//! Offline stand-in for `crossbeam`.
-//!
-//! Provides the two pieces this workspace uses:
-//!
-//! * [`channel`] — MPMC-flavoured bounded/unbounded channels, backed by
-//!   `std::sync::mpsc` (the workspace only ever uses one consumer).
-//! * [`thread`] — crossbeam-style scoped threads, backed by
-//!   `std::thread::scope`.
-
-/// Multi-producer channels (std-mpsc backed subset of `crossbeam-channel`).
-pub mod channel {
-    use std::sync::mpsc;
-
-    /// Sending half of a channel.
-    pub enum Sender<T> {
-        /// Bounded channel sender.
-        Bounded(mpsc::SyncSender<T>),
-        /// Unbounded channel sender.
-        Unbounded(mpsc::Sender<T>),
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            match self {
-                Sender::Bounded(s) => Sender::Bounded(s.clone()),
-                Sender::Unbounded(s) => Sender::Unbounded(s.clone()),
-            }
-        }
-    }
-
-    impl<T> std::fmt::Debug for Sender<T> {
-        // Like crossbeam, printable regardless of whether T is Debug.
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.write_str("Sender { .. }")
-        }
-    }
-
-    /// Receiving half of a channel.
-    pub struct Receiver<T>(mpsc::Receiver<T>);
-
-    impl<T> std::fmt::Debug for Receiver<T> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.write_str("Receiver { .. }")
-        }
-    }
-
-    /// Error returned by [`Sender::send`] when the receiver is gone.
-    #[derive(Clone, Copy, PartialEq, Eq)]
-    pub struct SendError<T>(pub T);
-
-    impl<T> std::fmt::Debug for SendError<T> {
-        // Like crossbeam, printable regardless of whether T is Debug.
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.write_str("SendError(..)")
-        }
-    }
-
-    /// Error returned by [`Receiver::recv`] when all senders are gone.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct RecvError;
-
-    impl<T> Sender<T> {
-        /// Send `value`, blocking while a bounded channel is full.
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            match self {
-                Sender::Bounded(s) => s.send(value).map_err(|e| SendError(e.0)),
-                Sender::Unbounded(s) => s.send(value).map_err(|e| SendError(e.0)),
-            }
-        }
-    }
-
-    impl<T> Receiver<T> {
-        /// Receive the next value, blocking until one arrives.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            self.0.recv().map_err(|_| RecvError)
-        }
-
-        /// Receive without blocking, if a value is ready.
-        pub fn try_recv(&self) -> Result<T, mpsc::TryRecvError> {
-            self.0.try_recv()
-        }
-
-        /// Iterate over received values until the channel closes.
-        pub fn iter(&self) -> mpsc::Iter<'_, T> {
-            self.0.iter()
-        }
-    }
-
-    /// Create a bounded channel of the given capacity.
-    pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = mpsc::sync_channel(cap);
-        (Sender::Bounded(tx), Receiver(rx))
-    }
-
-    /// Create an unbounded channel.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let (tx, rx) = mpsc::channel();
-        (Sender::Unbounded(tx), Receiver(rx))
-    }
-}
-
-/// Scoped threads (std-backed subset of `crossbeam::thread`).
-pub mod thread {
-    /// A scope in which borrowed-data threads can be spawned.
-    pub struct Scope<'scope, 'env: 'scope>(&'scope std::thread::Scope<'scope, 'env>);
-
-    /// Handle to a scoped thread.
-    pub struct ScopedJoinHandle<'scope, T>(std::thread::ScopedJoinHandle<'scope, T>);
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        /// Spawn a thread inside the scope. The closure receives the scope
-        /// (crossbeam's signature) so nested spawns are possible.
-        pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-        where
-            F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            let inner = self.0;
-            ScopedJoinHandle(inner.spawn(move || f(&Scope(inner))))
-        }
-    }
-
-    impl<T> ScopedJoinHandle<'_, T> {
-        /// Wait for the thread to finish, returning its result.
-        pub fn join(self) -> std::thread::Result<T> {
-            self.0.join()
-        }
-    }
-
-    /// Run `f` with a scope; all spawned threads are joined before this
-    /// returns. Unlike crossbeam, a panicking child propagates the panic
-    /// (std scope behaviour); the `Result` is kept for API compatibility
-    /// and is always `Ok` on normal return.
-    pub fn scope<'env, F, R>(f: F) -> std::thread::Result<R>
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-    {
-        Ok(std::thread::scope(|s| f(&Scope(s))))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn channel_round_trip() {
-        let (tx, rx) = super::channel::bounded(1);
-        let tx2 = tx.clone();
-        std::thread::spawn(move || tx2.send(41).unwrap());
-        assert_eq!(rx.recv().unwrap(), 41);
-        drop(tx);
-        assert!(rx.recv().is_err());
-    }
-
-    #[test]
-    fn scoped_threads_borrow() {
-        let data = vec![1u64, 2, 3, 4];
-        let total: u64 = super::thread::scope(|s| {
-            let handles: Vec<_> = data
-                .chunks(2)
-                .map(|c| s.spawn(move |_| c.iter().sum::<u64>()))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).sum()
-        })
-        .unwrap();
-        assert_eq!(total, 10);
-    }
-}
+//! Empty stand-in for `crossbeam`: no workspace code uses it; it stays only because `crates/bench/perfbench/Cargo.lock` lists it.

@@ -234,8 +234,7 @@ type Computed = (ZswapResult<Prepared<Vec<u8>>>, u64);
 struct WorkerBuffers {
     /// The page being filled or decoded.
     page: Vec<u8>,
-    /// The codec's output. A codec may write past a page before it
-    /// rejects one; only a kept output is copied out.
+    /// The codec's output; only a kept output is copied out.
     out: Vec<u8>,
 }
 
@@ -1642,7 +1641,7 @@ impl TieredSystem {
         if scratch.len() < workers {
             scratch.resize_with(workers, || WorkerBuffers {
                 page: vec![0u8; PAGE_SIZE],
-                out: Vec::with_capacity(2 * PAGE_SIZE),
+                out: Vec::with_capacity(PAGE_SIZE),
             });
         }
         let mut slots: Vec<Option<Computed>> = Vec::new();

@@ -19,16 +19,15 @@ pub struct AccessBitScanner {
     region_shift: u32,
     /// Total regions in the scanned address space (the scan cost driver).
     total_regions: u64,
-    /// Modeled cost of scanning + clearing one region's PTEs, in ns.
-    pub scan_cost_per_region_ns: f64,
     touched: BTreeSet<u64>,
     tracker: HotnessTracker,
     cost_ns: f64,
 }
 
 impl AccessBitScanner {
-    /// Default per-region scan cost: 512 PTE reads + clears at ~4 ns each.
-    pub const DEFAULT_SCAN_COST_PER_REGION_NS: f64 = 2048.0;
+    /// Modeled cost of scanning + clearing one region's PTEs: 512 PTE
+    /// reads + clears at ~4 ns each.
+    pub const SCAN_COST_PER_REGION_NS: f64 = 2048.0;
 
     /// Create a scanner for an address space of `total_regions` regions of
     /// `1 << region_shift` bytes, with hotness cooling factor `cooling`.
@@ -36,7 +35,6 @@ impl AccessBitScanner {
         AccessBitScanner {
             region_shift,
             total_regions,
-            scan_cost_per_region_ns: Self::DEFAULT_SCAN_COST_PER_REGION_NS,
             touched: BTreeSet::new(),
             tracker: HotnessTracker::new(cooling),
             cost_ns: 0.0,
@@ -52,7 +50,7 @@ impl TelemetrySource for AccessBitScanner {
 
     fn end_window(&mut self) -> HotnessSnapshot {
         // One full scan of the address space per window, touched or not.
-        self.cost_ns += self.total_regions as f64 * self.scan_cost_per_region_ns;
+        self.cost_ns += self.total_regions as f64 * Self::SCAN_COST_PER_REGION_NS;
         let mut raw = BTreeMap::new();
         for region in std::mem::take(&mut self.touched) {
             // Binary signal: the scanner cannot count accesses.

@@ -73,11 +73,6 @@ impl CoLocated {
         }
     }
 
-    /// Number of tenants.
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
-    }
-
     /// The address range (bytes) of tenant `i`.
     pub fn tenant_range(&self, i: usize) -> std::ops::Range<u64> {
         let t = &self.tenants[i];

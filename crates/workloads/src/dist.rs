@@ -137,13 +137,6 @@ impl GaussianPicker {
         }
     }
 
-    /// Override the center and spread.
-    pub fn with_shape(mut self, mean: f64, stddev: f64) -> Self {
-        self.mean = mean;
-        self.stddev = stddev.max(1e-9);
-        self
-    }
-
     /// Draw the next key (clamped to range).
     pub fn next_key(&mut self) -> u64 {
         // Box–Muller.

@@ -21,6 +21,10 @@
 //! real bytes on demand (`Real` fidelity) or use calibrated ratios
 //! (`Modeled` fidelity). A global [`Scale`] shrinks RSS while preserving the
 //! paper's relative workload sizes.
+//!
+//! Support modules: [`corpus`] synthesizes page contents, [`dist`] holds
+//! the key distributions (Zipfian, Gaussian, uniform), and [`colocate`]
+//! runs several workloads as tenants of one machine.
 
 pub mod colocate;
 pub mod corpus;
@@ -28,7 +32,6 @@ pub mod dist;
 pub mod graph;
 pub mod hpc;
 pub mod kv;
-pub mod trace;
 
 pub use corpus::PageClass;
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Offline tier-1 gate: formatting, the full workspace test suite and a
-# warnings-as-errors lint pass. Everything runs against the vendored in-repo
-# dependency shims (crates/shims/), so no network access is needed or
-# attempted; --locked guards against silent lockfile drift.
+# Offline tier-1 gate: formatting, the full workspace test suite, a
+# warnings-as-errors lint pass, ts-lint, and a build of the benchmark
+# package against its own lock file. Everything runs against the vendored
+# in-repo dependency shims (crates/shims/), so no network access is needed
+# or attempted; --locked guards against silent lockfile drift.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -15,7 +16,12 @@ cargo test --workspace --offline --locked
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets --offline --locked -- -D warnings
 
-echo "== ts-lint (determinism/robustness rules, budget ratchet) =="
+echo "== ts-lint (determinism/robustness rules) =="
 cargo run --release --offline --locked -p ts-lint
+
+# The benchmark package has its own Cargo.lock, which lists dependency
+# edges the workspace no longer uses; this build fails if one goes missing.
+echo "== benchmark package build (its own lock file) =="
+cargo build --release --offline --locked --manifest-path crates/bench/perfbench/Cargo.toml
 
 echo "verify: OK"

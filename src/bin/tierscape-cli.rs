@@ -53,10 +53,16 @@ impl Args {
             .map(|s| s.as_str())
     }
 
+    /// The value of `name`, or `default` when the flag is absent. A value
+    /// that does not parse ends the run with exit code 2.
     fn parse<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.value(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        let Some(v) = self.value(name) else {
+            return default;
+        };
+        v.parse().unwrap_or_else(|_| {
+            eprintln!("invalid value '{v}' for {name}");
+            std::process::exit(2);
+        })
     }
 }
 

@@ -4,7 +4,8 @@
 //! a kernel change that alters a single output byte shifts the goldens. This
 //! test pins a digest of every codec's output over real page contents, so a
 //! speed-up of the match finders or entropy coders is checked to leave the
-//! bytes alone rather than assumed to.
+//! bytes alone rather than assumed to. A rejected page must also leave the
+//! output buffer as it found it, never grown past the page.
 
 use tierscape::compress::{Algorithm, CodecError};
 use tierscape::workloads::PageClass;
@@ -74,4 +75,23 @@ fn codec_output_is_pinned() {
         hash, 0x027e_e148_32ed_0d90,
         "codec output digest {hash:#018x}"
     );
+}
+
+/// Every codec but `Store` rejects an incompressible page before writing a
+/// page's worth of output: the buffer keeps its length and its capacity.
+#[test]
+fn rejected_pages_never_outgrow_the_page() {
+    for seed in [0u64, 42] {
+        let mut page = vec![0u8; 4096];
+        PageClass::Incompressible.fill(seed, 3, &mut page);
+        for algo in Algorithm::ALL {
+            let mut out = Vec::with_capacity(4096);
+            assert_eq!(
+                algo.codec().compress(&page, &mut out),
+                Err(CodecError::Incompressible { input_len: 4096 }),
+                "{algo}"
+            );
+            assert_eq!((out.len(), out.capacity()), (0, 4096), "{algo}");
+        }
+    }
 }
