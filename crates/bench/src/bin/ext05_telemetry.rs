@@ -1,7 +1,7 @@
 //! Extension experiment 5: telemetry source comparison.
 //!
 //! PEBS-style sampling (the paper's choice, §7.2) against page-table
-//! ACCESSED-bit scanning (GSwap's [38] approach). The scanner is free at
+//! ACCESSED-bit scanning (GSwap's \[38\] approach). The scanner is free at
 //! access time but pays a full address-space walk per window and only
 //! delivers a binary touched/not-touched signal — so its placements must
 //! rank warm vs hot by cross-window streaks, degrading the frontier.

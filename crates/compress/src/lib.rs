@@ -14,11 +14,11 @@
 //!
 //! * [`lz4`] — greedy LZ77 with a single-probe hash table, byte-aligned
 //!   token/literal/offset encoding. Fastest; ratio around 2x on text.
-//! * [`lz4hc`] — the same format produced by a chained-match lazy parser:
+//! * [`lz4hc`](lz4::Lz4hc) — the same format produced by a chained-match lazy parser:
 //!   slower compression, same decompression speed, better ratio.
 //! * [`lzo`] — byte-aligned LZ77 with short match ops; between LZ4 and
 //!   Deflate in both speed and ratio.
-//! * [`lzo_rle`] — LZO plus a run-length fast path (the kernel's preferred
+//! * [`lzo_rle`](lzo::LzoRle) — LZO plus a run-length fast path (the kernel's preferred
 //!   zram default); dramatically better on zero/rle-heavy pages.
 //! * [`deflate`] — LZ77 with lazy parsing plus canonical Huffman coding of
 //!   literals/lengths/distances. Best ratio, slowest.

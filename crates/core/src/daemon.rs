@@ -19,9 +19,9 @@ pub enum TelemetryKind {
     /// PEBS-style sampled addresses (the paper's TS-Daemon, §7.2).
     #[default]
     Pebs,
-    /// Page-table ACCESSED-bit scanning (GSwap's approach [38]).
+    /// Page-table ACCESSED-bit scanning (GSwap's approach \[38\]).
     AccessedBit,
-    /// DAMON-style adaptive regions (the paper's citation [44]).
+    /// DAMON-style adaptive regions (the paper's citation \[44\]).
     Damon,
 }
 

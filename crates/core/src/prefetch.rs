@@ -1,7 +1,7 @@
 //! Trend-based prefetching (the §3.2 extension the paper defers).
 //!
 //! Pages that the placement model left in slow tiers still pay the full
-//! fault cost on their first access. Google's far-memory system [38] pairs
+//! fault cost on their first access. Google's far-memory system \[38\] pairs
 //! its compressed tier with an ML prefetcher; the paper notes prefetching
 //! "can be additionally employed with TierScape" and leaves it as future
 //! work. [`PrefetchingPolicy`] implements a simple, explainable variant: it

@@ -4,9 +4,9 @@
 //!
 //! * DRAM: ≈33 ns average page access latency (paper §5), normalized unit
 //!   cost 3.0 $/GB-month.
-//! * Optane-style NVMM: ≈3x DRAM read latency (paper [20, 56]), unit cost
-//!   1/3 of DRAM (paper §8.1, citing FlexHM [45]).
-//! * CXL-attached memory: ≈170 ns (one NUMA-hop class latency, Pond [41]),
+//! * Optane-style NVMM: ≈3x DRAM read latency (paper \[20, 56\]), unit cost
+//!   1/3 of DRAM (paper §8.1, citing FlexHM \[45\]).
+//! * CXL-attached memory: ≈170 ns (one NUMA-hop class latency, Pond \[41\]),
 //!   unit cost 1/2 of DRAM.
 
 /// Kind of physical memory medium backing a tier or pool.

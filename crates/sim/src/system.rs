@@ -8,6 +8,7 @@
 use crate::calib::Calibration;
 use crate::histogram::LatencyHistogram;
 use crate::{Fidelity, Placement, SimConfig, SimError, SimResult};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use ts_compress::Algorithm;
 use ts_faults::{FaultCounters, FaultPlan, FaultSite, TierError};
@@ -120,6 +121,9 @@ enum Prepared<B> {
     /// The compressed source decoded toward a byte destination. The bytes
     /// are dropped: page content is regenerable.
     Decoded,
+    /// The page's bytes are in the reuse map, for phase B to move into the
+    /// destination: neither `fill_page` nor the codec ran.
+    Reused,
 }
 
 impl<B> Prepared<B> {
@@ -129,18 +133,7 @@ impl<B> Prepared<B> {
             Prepared::Nothing => Prepared::Nothing,
             Prepared::Compressed(c) => Prepared::Compressed(c.map(f)),
             Prepared::Decoded => Prepared::Decoded,
-        }
-    }
-
-    /// The same result with its compressed output borrowed.
-    fn as_bytes(&self) -> Prepared<&[u8]>
-    where
-        B: AsRef<[u8]>,
-    {
-        match self {
-            Prepared::Nothing => Prepared::Nothing,
-            Prepared::Compressed(c) => Prepared::Compressed(c.as_bytes()),
-            Prepared::Decoded => Prepared::Decoded,
+            Prepared::Reused => Prepared::Reused,
         }
     }
 }
@@ -229,6 +222,10 @@ fn memo_bit(algorithm: Algorithm) -> u8 {
 /// (trace only).
 type Computed = (ZswapResult<Prepared<Vec<u8>>>, u64);
 
+/// Compressed bytes kept for reuse, by page, with the algorithm that
+/// produced them.
+type ReuseMap = BTreeMap<u64, (Algorithm, Box<[u8]>)>;
+
 /// One phase-A worker's scratch, owned by the system and reused by every
 /// chunk of every plan, so that running a codec allocates nothing.
 struct WorkerBuffers {
@@ -239,12 +236,14 @@ struct WorkerBuffers {
 }
 
 /// What phase A of [`TieredSystem::execute_plan`] reads, shared by every
-/// worker: zswap, the workload, the incompressibility memo and the plan.
+/// worker: zswap, the workload, the incompressibility memo, the reuse map
+/// and the plan.
 struct PhaseA<'s> {
     z: &'s ZswapSubsystem,
     ids: &'s [TierId],
     workload: &'s dyn Workload,
     memo: &'s [u8],
+    reuse: &'s ReuseMap,
     pages: &'s [PlanPage],
     moves: &'s [PlannedMove],
 }
@@ -254,7 +253,8 @@ impl PhaseA<'_> {
     /// its residency `snap` to its entry's destination. `buf` holds the
     /// filled or decoded page and `out` (cleared first) the compressed
     /// bytes. A destination codec the page's incompressibility memo names
-    /// is not run again.
+    /// is not run again, and a page with bytes in the reuse map is not
+    /// filled or compressed at all.
     fn prepare<'a>(
         &self,
         i: usize,
@@ -301,6 +301,15 @@ impl PhaseA<'_> {
                 .map(|()| Prepared::Decoded),
             (_, Placement::Compressed(t)) => {
                 let tier = z.tier(ids[t])?;
+                if let Some((algorithm, bytes)) = self.reuse.get(&page.vpage) {
+                    debug_assert!(
+                        *algorithm == tier.config().algorithm
+                            && self.compresses_to(page.vpage, tier, bytes, buf, out),
+                        "page {}: reused bytes differ from a fresh compression",
+                        page.vpage
+                    );
+                    return Ok(Prepared::Reused);
+                }
                 if memo & memo_bit(tier.config().algorithm) != 0 {
                     return Ok(Prepared::Compressed(Compressed::Incompressible));
                 }
@@ -309,6 +318,21 @@ impl PhaseA<'_> {
             }
             _ => Ok(Prepared::Nothing),
         }
+    }
+
+    /// Whether page `vpage`, filled into `buf` and compressed by `tier`
+    /// into `out`, comes out as exactly `bytes`: the check that a reused
+    /// object is what a fresh compression would store.
+    fn compresses_to(
+        &self,
+        vpage: u64,
+        tier: &ts_zswap::CompressedTier,
+        bytes: &[u8],
+        buf: &mut [u8],
+        out: &mut Vec<u8>,
+    ) -> bool {
+        self.workload.fill_page(vpage, buf);
+        tier.compress_into(buf, out) == Compressed::Bytes(bytes)
     }
 }
 
@@ -404,6 +428,13 @@ pub struct TieredSystem {
     /// of the workload's content seed and the page, and a tier's codec of
     /// its algorithm.
     incompressible: Vec<u8>,
+    /// Compressed bytes that a fault took out of a tier's pool (`Real`
+    /// fidelity only, else empty), kept until [`Self::execute_plan`]
+    /// returns: phase 0 keeps the pages the plan batches from a byte tier
+    /// into a tier of the same algorithm, and phase B moves their bytes
+    /// into it instead of compressing the page again. Exact for the
+    /// memo's reason.
+    reuse: ReuseMap,
 }
 
 impl TieredSystem {
@@ -495,6 +526,7 @@ impl TieredSystem {
             fault_nonce: 0,
             obs: None,
             incompressible,
+            reuse: BTreeMap::new(),
         })
     }
 
@@ -700,6 +732,21 @@ impl TieredSystem {
             // swap-fault path.
             Residency::Swapped { origin_tier, .. } => Placement::Compressed(origin_tier as usize),
         }
+    }
+
+    /// The zswap entry of page `vpage`, when it is stored in a compressed
+    /// tier in `Real` fidelity.
+    pub fn stored_page(&self, vpage: u64) -> Option<StoredPage> {
+        match self.pages[vpage as usize] {
+            Residency::Compressed { stored, .. } => stored,
+            _ => None,
+        }
+    }
+
+    /// The zswap subsystem behind the compressed tiers (`Real` fidelity
+    /// only), its tiers in [`SimConfig::compressed_tiers`] order.
+    pub fn zswap(&self) -> Option<&ZswapSubsystem> {
+        self.zswap.as_ref()
     }
 
     /// Dominant placement of a region (most pages win; a tie goes to the
@@ -1016,9 +1063,17 @@ impl TieredSystem {
                     match release {
                         // The content is regenerable: the page buffer only
                         // holds the decoded bytes until the next decode.
-                        Release::Load => z
-                            .load_into(id, s, &mut self.page_buf)
-                            .expect("stored page is live"),
+                        // The compressed bytes are kept for a plan that
+                        // demotes the page again.
+                        Release::Load => {
+                            let taken = z
+                                .load_into(id, s, &mut self.page_buf)
+                                .expect("stored page is live");
+                            if let Some(bytes) = taken {
+                                let algorithm = self.cfg.compressed_tiers[tier as usize].algorithm;
+                                self.reuse.insert(vpage, (algorithm, bytes));
+                            }
+                        }
                         Release::Invalidate => z.invalidate(id, s).expect("stored page is live"),
                         Release::Released => {}
                     }
@@ -1186,13 +1241,13 @@ impl TieredSystem {
         &mut self,
         vpage: u64,
         dest: Placement,
-        prepared: Prepared<&[u8]>,
+        prepared: Prepared<Box<[u8]>>,
     ) -> SimResult<MoveCost> {
         let t = match dest {
             Placement::Dram | Placement::ByteTier(_) => {
                 let release = match prepared {
                     Prepared::Decoded => Release::Invalidate,
-                    Prepared::Nothing | Prepared::Compressed(_) => Release::Load,
+                    Prepared::Nothing | Prepared::Compressed(_) | Prepared::Reused => Release::Load,
                 };
                 let out = self.detach(vpage, release);
                 let (landing, spec) = match dest {
@@ -1223,7 +1278,7 @@ impl TieredSystem {
         };
         let recompressed = match prepared {
             Prepared::Compressed(c) => Some(c),
-            Prepared::Nothing | Prepared::Decoded => None,
+            Prepared::Nothing | Prepared::Decoded | Prepared::Reused => None,
         };
         let (from_id, to_id) = (self.zswap_ids[from as usize], self.zswap_ids[t]);
         // Pool bytes may change even when the migration fails part way.
@@ -1266,13 +1321,13 @@ impl TieredSystem {
     }
 
     /// Compress page `vpage` into tier `t` from a byte-addressable (or
-    /// swapped, or handle-less) source, using phase A's compressed bytes
-    /// when `prepared` carries them.
+    /// swapped, or handle-less) source, moving phase A's compressed bytes
+    /// into the pool when `prepared` carries them.
     fn compress_into(
         &mut self,
         vpage: u64,
         t: usize,
-        prepared: Prepared<&[u8]>,
+        prepared: Prepared<Box<[u8]>>,
     ) -> SimResult<MoveCost> {
         // `Modeled` fidelity has no zswap layer to trip inside, so the
         // store-path faults are drawn here on the serial path. (`Real`
@@ -1292,18 +1347,15 @@ impl TieredSystem {
             Some(z) => {
                 self.tco_rate = None;
                 let (workload, buf) = (&self.workload, &mut self.page_buf);
-                let mut out = Vec::new();
-                let result = z.tier_mut(self.zswap_ids[t]).and_then(|tier| {
-                    let compressed = match prepared {
-                        Prepared::Compressed(c) => c,
-                        Prepared::Nothing | Prepared::Decoded => {
+                let result = z
+                    .tier_mut(self.zswap_ids[t])
+                    .and_then(|tier| match prepared {
+                        Prepared::Compressed(c) => tier.insert(c, PAGE_SIZE),
+                        Prepared::Nothing | Prepared::Decoded | Prepared::Reused => {
                             workload.fill_page(vpage, buf);
-                            out.reserve(PAGE_SIZE);
-                            tier.compress_into(buf, &mut out)
+                            tier.store(buf)
                         }
-                    };
-                    tier.insert(&compressed, PAGE_SIZE)
-                });
+                    });
                 match result {
                     Ok(s) => (s.compressed_len as u32, Some(s)),
                     Err(e) => return Err(self.store_error(t, e)),
@@ -1372,22 +1424,27 @@ impl TieredSystem {
     ///   table, in plan order: already there, aborted by an injected
     ///   migration fault, serial, or batched (a move the engine can
     ///   precompute — a byte source into a compressed tier, or a stored
-    ///   compressed source into a compressed or byte tier).
+    ///   compressed source into a compressed or byte tier). The reuse map
+    ///   then keeps only the pages batched from a byte tier into a tier of
+    ///   the algorithm that produced their bytes.
     /// * **Phase A** runs the batched pages' pure work — fill and
     ///   compress, decompress and recompress, decompress — on up to
     ///   `workers` scoped threads, in chunks of at most
-    ///   [`CHUNK_PAGES_PER_WORKER`] pages per worker. The threads claim a
+    ///   `CHUNK_PAGES_PER_WORKER` (256) pages per worker. The threads claim a
     ///   chunk's pages from one shared cursor, a few at a time, and run
     ///   their codecs in scratch the system owns and reuses. It only reads
     ///   the system. A page whose incompressibility memo names the
     ///   destination's algorithm comes back incompressible without
     ///   running the codec (or, from a byte tier, `fill_page`); a
-    ///   compressed source is still decoded.
+    ///   compressed source is still decoded. A page the reuse map keeps
+    ///   runs neither.
     /// * **Phase B** applies every page in plan order through the one
     ///   serial migration path, which takes phase A's output instead of
     ///   recomputing it. Each chunk is applied before the next is
     ///   computed. It records each page phase A found incompressible for
-    ///   its destination's algorithm in the memo. A page whose residency
+    ///   its destination's algorithm in the memo, and moves a reused
+    ///   page's bytes out of the reuse map into its destination's pool,
+    ///   which it empties when the plan is done. A page whose residency
     ///   changed since phase 0 (an earlier page's pool-limit writeback
     ///   evicted it) takes the serial path uncomputed, which neither reads
     ///   nor writes the memo.
@@ -1444,6 +1501,7 @@ impl TieredSystem {
             }
         }
         report.batches = dests.len() as u32;
+        self.keep_reusable(&plan_pages, moves);
         let batched: Vec<usize> = (0..plan_pages.len())
             .filter(|&i| matches!(plan_pages[i].disposition, Disposition::Batched(_)))
             .collect();
@@ -1453,6 +1511,7 @@ impl TieredSystem {
         // Phase B, computing phase A chunk by chunk as it reaches them.
         let mut busy = vec![0.0f64; dests.len()];
         let mut sinks = vec![WorkerSink::default(); dests.len()];
+        let mut reused = vec![0u64; dests.len()];
         let mut serial_extra = 0.0f64;
         let mut tail_ns = 0.0f64;
         let mut entry_moved = vec![false; moves.len()];
@@ -1494,9 +1553,24 @@ impl TieredSystem {
                         let bit = memo_bit(self.cfg.compressed_tiers[t].algorithm);
                         self.incompressible[vpage as usize] |= bit;
                     }
+                    let prepared = match prepared {
+                        Ok(Prepared::Reused) => match self.reuse.remove(&vpage) {
+                            Some((_, bytes)) => {
+                                reused[b] += 1;
+                                Ok(Prepared::Compressed(Compressed::Bytes(bytes)))
+                            }
+                            None => Ok(Prepared::Nothing),
+                        },
+                        // Copied here, so that an object the pool keeps is
+                        // allocated on this thread: a phase-A worker's copy
+                        // lives in that thread's malloc arena, and keeping
+                        // it there raised the graph benchmark's peak RSS by
+                        // ~10 %.
+                        other => other.map(|p| p.map(|v| Box::from(&v[..]))),
+                    };
                     let result = prepared
                         .map_err(SimError::Zswap)
-                        .and_then(|p| self.move_page(vpage, dest, p.as_bytes()));
+                        .and_then(|p| self.move_page(vpage, dest, p));
                     self.record_outcome(&mut sinks[b], vpage, dest, result.is_ok());
                     match result {
                         Ok(cost) => {
@@ -1534,6 +1608,8 @@ impl TieredSystem {
             }
         }
 
+        self.reuse.clear();
+
         // Deterministic reduction: one logical worker per destination, so
         // the charged wall-clock is the slowest destination's busy time —
         // invariant in `workers`, which only changes how fast the *host*
@@ -1564,22 +1640,49 @@ impl TieredSystem {
             if !moves.is_empty() {
                 obs.observe("migrate.plan_cost_ns", report.cost_ns);
             }
-            for ((dest, sink), busy) in dests.iter().zip(&sinks).zip(&busy) {
+            for (((dest, sink), busy), reused) in dests.iter().zip(&sinks).zip(&busy).zip(&reused) {
                 let scope = dest.to_string();
                 // A batch is no one host interval: its pages ran on every
                 // worker, among the other batches' pages. So the span has
                 // no wall time, and the per-page worker time summed over
                 // threads, which can exceed the enclosing
-                // `window.execute`, is a field.
+                // `window.execute`, is a field. So is the count of pages
+                // whose reused bytes it moved.
                 let fields = [
                     ("jobs", sink.jobs as f64),
                     ("worker_ns", sink.worker_ns as f64),
+                    ("reused", *reused as f64),
                 ];
                 obs.span_raw("migrate.batch", &scope, 0, *busy, &fields);
                 obs.merge_sink(&scope, sink);
             }
         }
         report
+    }
+
+    /// Drop the reuse map's entries that phase A cannot use: keep a page's
+    /// bytes only when the plan batches it from a byte tier into a tier of
+    /// the algorithm that produced them.
+    fn keep_reusable(&mut self, pages: &[PlanPage], moves: &[PlannedMove]) {
+        if self.reuse.is_empty() {
+            return;
+        }
+        let mut all = std::mem::take(&mut self.reuse);
+        for page in pages {
+            let (Disposition::Batched(_), Residency::Dram | Residency::Byte(_)) =
+                (page.disposition, page.snap)
+            else {
+                continue;
+            };
+            let Placement::Compressed(t) = moves[page.entry].dest else {
+                continue;
+            };
+            if let Some(entry) = all.remove(&page.vpage) {
+                if entry.0 == self.cfg.compressed_tiers[t].algorithm {
+                    self.reuse.insert(page.vpage, entry);
+                }
+            }
+        }
     }
 
     /// Whether a move from `snap` to `dest` is batched: a byte source into
@@ -1633,6 +1736,7 @@ impl TieredSystem {
             ids: &self.zswap_ids,
             workload: self.workload.as_ref(),
             memo: &self.incompressible,
+            reuse: &self.reuse,
             pages,
             moves,
         };

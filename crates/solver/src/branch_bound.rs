@@ -31,7 +31,8 @@ const INT_EPS: f64 = 1e-6;
 /// # Errors
 ///
 /// [`SolverError::Infeasible`] when no integral assignment exists,
-/// [`SolverError::LimitExceeded`] past [`MAX_NODES`], or any LP error.
+/// [`SolverError::LimitExceeded`] past `MAX_NODES` (100,000) explored
+/// nodes, or any LP error.
 pub fn solve_ilp(lp: &LinearProgram, integer_vars: &[usize]) -> Result<IlpSolution, SolverError> {
     let mut best: Option<IlpSolution> = None;
     let mut nodes = 0usize;

@@ -1,4 +1,4 @@
-//! DAMON-style adaptive-region telemetry (the paper's citation [44], Park
+//! DAMON-style adaptive-region telemetry (the paper's citation \[44\], Park
 //! et al., "Profiling Dynamic Data Access Patterns with Controlled Overhead
 //! and Quality").
 //!

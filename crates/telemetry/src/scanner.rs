@@ -1,8 +1,8 @@
 //! Page-table ACCESSED-bit scanning telemetry (the GSwap/Google approach).
 //!
-//! Google's software-defined far memory [38] identifies cold pages by
+//! Google's software-defined far memory \[38\] identifies cold pages by
 //! periodically scanning and clearing the ACCESSED bit in page tables, and
-//! the paper's related work cites idle-page tracking [31, 40] as the other
+//! the paper's related work cites idle-page tracking \[31, 40\] as the other
 //! mainstream telemetry besides PEBS. This module implements that source so
 //! the two can be compared: the hardware sets bits for free, but one scan
 //! per window must walk the whole address space, and the signal per window

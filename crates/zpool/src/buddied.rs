@@ -1,10 +1,11 @@
 //! Buddied pools: zbud (2 slots/page) and z3fold (3 slots/page).
 //!
-//! Each backing page holds at most `slots` compressed objects placed
-//! contiguously from the front of the page; removal compacts the page (a
-//! cheap memmove over at most two neighbours, mirroring z3fold's in-page
-//! object rotation). Pages with free slots are indexed by free-space buckets
-//! at 64-byte "chunk" granularity, exactly like zbud's unbuddied lists.
+//! Each backing page holds at most `slots` compressed objects whose sizes
+//! sum to at most one page; a removal frees its bytes for the page's next
+//! object (z3fold's in-page compaction). Pages with free slots are indexed
+//! by free-space buckets at 64-byte "chunk" granularity, exactly like
+//! zbud's unbuddied lists. An object's bytes live in their own allocation;
+//! the pages account for the frames the kernel's layout would occupy.
 
 use crate::{Handle, PoolError, PoolKind, PoolStats, ZPool};
 use std::collections::HashMap;
@@ -18,14 +19,12 @@ const NBUCKETS: usize = PAGE_SIZE / CHUNK + 1;
 #[derive(Debug)]
 struct Slot {
     handle: u64,
-    offset: usize,
-    len: usize,
+    data: Box<[u8]>,
 }
 
 #[derive(Debug)]
 struct Page {
     frame: FrameNumber,
-    data: Vec<u8>,
     slots: Vec<Slot>,
     /// Index of the bucket this page currently sits in (or `usize::MAX`).
     bucket: usize,
@@ -35,7 +34,7 @@ struct Page {
 
 impl Page {
     fn used(&self) -> usize {
-        self.slots.iter().map(|s| s.len).sum()
+        self.slots.iter().map(|s| s.data.len()).sum()
     }
 
     fn free(&self) -> usize {
@@ -146,7 +145,6 @@ impl BuddiedPool {
             .map_err(|_| PoolError::OutOfMemory)?;
         let page = Page {
             frame,
-            data: vec![0; PAGE_SIZE],
             slots: Vec::with_capacity(self.max_slots),
             bucket: usize::MAX,
             bucket_pos: 0,
@@ -182,9 +180,10 @@ impl ZPool for BuddiedPool {
         }
     }
 
-    fn store(&mut self, data: &[u8]) -> Result<Handle, PoolError> {
-        if data.len() > PAGE_SIZE {
-            return Err(PoolError::ObjectTooLarge { size: data.len() });
+    fn store_owned(&mut self, data: Box<[u8]>) -> Result<Handle, PoolError> {
+        let len = data.len();
+        if len > PAGE_SIZE {
+            return Err(PoolError::ObjectTooLarge { size: len });
         }
         if let Some(plan) = &self.faults {
             // Keyed by the pool's store count: single-writer per tier, so
@@ -196,7 +195,7 @@ impl ZPool for BuddiedPool {
                 return Err(PoolError::OutOfMemory);
             }
         }
-        let page_id = match self.find_page(data.len()) {
+        let page_id = match self.find_page(len) {
             Some(id) => {
                 self.unlink_from_bucket(id);
                 id
@@ -207,68 +206,50 @@ impl ZPool for BuddiedPool {
         self.next_handle += 1;
         {
             let page = self.pages[page_id].as_mut().expect("live page");
-            let offset = page.used();
-            debug_assert!(offset + data.len() <= PAGE_SIZE);
+            debug_assert!(page.used() + len <= PAGE_SIZE);
             debug_assert!(page.slots.len() < self.max_slots);
-            page.data[offset..offset + data.len()].copy_from_slice(data);
-            page.slots.push(Slot {
-                handle,
-                offset,
-                len: data.len(),
-            });
+            page.slots.push(Slot { handle, data });
         }
         self.link_to_bucket(page_id);
         self.handles.insert(handle, page_id);
         self.stats.objects += 1;
-        self.stats.stored_bytes += data.len() as u64;
+        self.stats.stored_bytes += len as u64;
         self.stats.stores += 1;
         Ok(Handle(handle))
     }
 
-    fn load(&self, handle: Handle, dst: &mut Vec<u8>) -> Result<usize, PoolError> {
+    fn get(&self, handle: Handle) -> Result<&[u8], PoolError> {
         let &page_id = self.handles.get(&handle.0).ok_or(PoolError::BadHandle)?;
         let page = self.pages[page_id].as_ref().expect("live page");
-        let slot = page
-            .slots
+        page.slots
             .iter()
             .find(|s| s.handle == handle.0)
-            .ok_or(PoolError::BadHandle)?;
-        dst.extend_from_slice(&page.data[slot.offset..slot.offset + slot.len]);
-        Ok(slot.len)
+            .map(|s| &*s.data)
+            .ok_or(PoolError::BadHandle)
     }
 
-    fn remove(&mut self, handle: Handle) -> Result<(), PoolError> {
+    fn take(&mut self, handle: Handle) -> Result<Box<[u8]>, PoolError> {
         let page_id = self.handles.remove(&handle.0).ok_or(PoolError::BadHandle)?;
         self.unlink_from_bucket(page_id);
-        let emptied = {
+        let (data, emptied) = {
             let page = self.pages[page_id].as_mut().expect("live page");
             let idx = page
                 .slots
                 .iter()
                 .position(|s| s.handle == handle.0)
                 .ok_or(PoolError::BadHandle)?;
-            let removed = page.slots.remove(idx);
-            self.stats.objects -= 1;
-            self.stats.stored_bytes -= removed.len as u64;
-            // Compact: shift later objects down so free space is contiguous.
-            page.slots.sort_by_key(|s| s.offset);
-            let mut write = 0usize;
-            for s in page.slots.iter_mut() {
-                if s.offset != write {
-                    page.data.copy_within(s.offset..s.offset + s.len, write);
-                    s.offset = write;
-                }
-                write += s.len;
-            }
-            page.slots.is_empty()
+            let removed = page.slots.swap_remove(idx);
+            (removed.data, page.slots.is_empty())
         };
+        self.stats.objects -= 1;
+        self.stats.stored_bytes -= data.len() as u64;
         if emptied {
             self.release_page(page_id);
         } else {
             self.link_to_bucket(page_id);
         }
         self.stats.removes += 1;
-        Ok(())
+        Ok(data)
     }
 
     fn stats(&self) -> PoolStats {
@@ -338,7 +319,7 @@ mod tests {
     }
 
     #[test]
-    fn compaction_preserves_survivors() {
+    fn removal_frees_space_and_keeps_survivors() {
         let mut p = pool(3);
         let a = p.store(&[0xAAu8; 700]).unwrap();
         let b = p.store(&[0xBBu8; 900]).unwrap();
@@ -349,7 +330,7 @@ mod tests {
             p.load(h, &mut out).unwrap();
             assert_eq!(out, vec![v; n]);
         }
-        // Reuse the compacted space.
+        // Reuse the freed space.
         let d = p.store(&[0xDDu8; 900]).unwrap();
         assert_eq!(p.stats().pool_pages, 1);
         let mut out = Vec::new();

@@ -204,33 +204,65 @@ impl PoolStats {
 
 /// A compressed-object pool.
 ///
-/// `Sync` lets the migration engine's phase-A threads read pooled objects
-/// ([`ZPool::load`]) through a shared borrow.
+/// Each object keeps its bytes in its own allocation; the pool accounts
+/// for the slots, zspages or frames it occupies, which is what
+/// [`PoolStats`] reports. `Sync` lets the migration engine's phase-A
+/// threads read pooled objects ([`ZPool::get`]) through a shared borrow.
 pub trait ZPool: Send + Sync {
     /// Which pool manager this is.
     fn kind(&self) -> PoolKind;
 
-    /// Store a copy of `data`, returning a handle.
+    /// Store `data`, taking ownership of its bytes, and return a handle.
     ///
     /// # Errors
     ///
     /// [`PoolError::ObjectTooLarge`] if `data` exceeds one page;
     /// [`PoolError::OutOfMemory`] if the backing node is exhausted.
-    fn store(&mut self, data: &[u8]) -> Result<Handle, PoolError>;
+    fn store_owned(&mut self, data: Box<[u8]>) -> Result<Handle, PoolError>;
+
+    /// Store a copy of `data`, returning a handle.
+    ///
+    /// # Errors
+    ///
+    /// See [`ZPool::store_owned`].
+    fn store(&mut self, data: &[u8]) -> Result<Handle, PoolError> {
+        self.store_owned(data.into())
+    }
+
+    /// Borrow the object behind `handle`.
+    ///
+    /// # Errors
+    ///
+    /// [`PoolError::BadHandle`] if `handle` is stale.
+    fn get(&self, handle: Handle) -> Result<&[u8], PoolError>;
 
     /// Read the object behind `handle`, appending to `dst`.
     ///
     /// # Errors
     ///
     /// [`PoolError::BadHandle`] if `handle` is stale.
-    fn load(&self, handle: Handle, dst: &mut Vec<u8>) -> Result<usize, PoolError>;
+    fn load(&self, handle: Handle, dst: &mut Vec<u8>) -> Result<usize, PoolError> {
+        let data = self.get(handle)?;
+        dst.extend_from_slice(data);
+        Ok(data.len())
+    }
+
+    /// Remove the object behind `handle`, freeing its slot, and return
+    /// its bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`PoolError::BadHandle`] if `handle` is stale.
+    fn take(&mut self, handle: Handle) -> Result<Box<[u8]>, PoolError>;
 
     /// Remove the object behind `handle`, freeing its slot.
     ///
     /// # Errors
     ///
     /// [`PoolError::BadHandle`] if `handle` is stale.
-    fn remove(&mut self, handle: Handle) -> Result<(), PoolError>;
+    fn remove(&mut self, handle: Handle) -> Result<(), PoolError> {
+        self.take(handle).map(drop)
+    }
 
     /// Current statistics.
     fn stats(&self) -> PoolStats;
@@ -328,7 +360,75 @@ mod tests {
             pool.remove(h).unwrap();
             let mut out = Vec::new();
             assert_eq!(pool.load(h, &mut out), Err(PoolError::BadHandle), "{kind}");
+            assert_eq!(pool.get(h), Err(PoolError::BadHandle), "{kind}");
+            assert_eq!(pool.take(h), Err(PoolError::BadHandle), "{kind}");
             assert_eq!(pool.remove(h), Err(PoolError::BadHandle), "{kind}");
+        }
+    }
+
+    /// Objects of assorted sizes, several to a page in every pool.
+    fn payloads() -> Vec<Vec<u8>> {
+        (0..60u32)
+            .map(|i| (0..40 + (i * 71) % 1900).map(|j| (i ^ j) as u8).collect())
+            .collect()
+    }
+
+    #[test]
+    fn take_matches_load_then_remove() {
+        let m = machine();
+        for kind in PoolKind::ALL {
+            let (mut a, mut b) = (
+                kind.create(m.clone(), NodeId(0)),
+                kind.create(m.clone(), NodeId(0)),
+            );
+            let objects = payloads();
+            let handles: Vec<_> = objects
+                .iter()
+                .map(|o| (a.store(o).unwrap(), b.store(o).unwrap()))
+                .collect();
+            // Every other object, so pages keep survivors and empty out.
+            for (i, &(ha, hb)) in handles.iter().enumerate().filter(|(i, _)| i % 2 == 0) {
+                let mut loaded = Vec::new();
+                a.load(ha, &mut loaded).unwrap();
+                a.remove(ha).unwrap();
+                let taken = b.take(hb).unwrap();
+                assert_eq!(&*taken, &loaded[..], "{kind}: object {i}");
+                assert_eq!(&*taken, &objects[i][..], "{kind}: object {i}");
+                assert_eq!(a.stats(), b.stats(), "{kind}: object {i}");
+            }
+            for (i, &(ha, hb)) in handles.iter().enumerate().filter(|(i, _)| i % 2 == 1) {
+                assert_eq!(b.get(hb).unwrap(), &objects[i][..], "{kind}: survivor {i}");
+                a.remove(ha).unwrap();
+                b.take(hb).unwrap();
+            }
+            assert_eq!(a.stats(), b.stats(), "{kind}");
+            assert_eq!(b.stats().pool_pages, 0, "{kind}");
+        }
+    }
+
+    #[test]
+    fn store_owned_matches_store() {
+        let m = machine();
+        for kind in PoolKind::ALL {
+            let (mut a, mut b) = (
+                kind.create(m.clone(), NodeId(0)),
+                kind.create(m.clone(), NodeId(0)),
+            );
+            for o in payloads() {
+                let ha = a.store(&o).unwrap();
+                let hb = b.store_owned(o.clone().into_boxed_slice()).unwrap();
+                assert_eq!(ha, hb, "{kind}");
+                assert_eq!(b.get(hb).unwrap(), &o[..], "{kind}");
+                assert_eq!(a.stats(), b.stats(), "{kind}");
+            }
+            let big = vec![0u8; PAGE_SIZE + 1].into_boxed_slice();
+            assert_eq!(
+                b.store_owned(big),
+                Err(PoolError::ObjectTooLarge {
+                    size: PAGE_SIZE + 1
+                }),
+                "{kind}"
+            );
         }
     }
 

@@ -2,10 +2,12 @@
 //!
 //! Objects are rounded up to a 16-byte size class. Each class stores objects
 //! in "zspages" — groups of 1..=4 backing pages sized to minimize per-class
-//! waste (as in the kernel's `get_pages_per_zspage`). Objects are packed
-//! contiguously at `slot * class_size`, so the achievable density approaches
-//! the raw compression ratio — the paper's "best space efficiency" pool, at
-//! the price of the highest management overhead.
+//! waste (as in the kernel's `get_pages_per_zspage`). Each object takes one
+//! `class_size` slot, so the achievable density approaches the raw
+//! compression ratio — the paper's "best space efficiency" pool, at the
+//! price of the highest management overhead. An object's bytes live in
+//! their own allocation; the zspages account for the slots and backing
+//! frames the kernel's layout would occupy.
 
 use crate::{Handle, PoolError, PoolKind, PoolStats, ZPool};
 use std::collections::HashMap;
@@ -44,15 +46,13 @@ fn pages_per_zspage(class_size: usize) -> usize {
 #[derive(Debug)]
 struct Zspage {
     frames: Vec<FrameNumber>,
-    data: Vec<u8>,
-    /// Bitmap of used slots.
-    used: Vec<bool>,
+    /// The object in each slot, `None` for a free slot.
+    objects: Vec<Option<Box<[u8]>>>,
     used_count: usize,
 }
 
 #[derive(Debug)]
 struct SizeClass {
-    class_size: usize,
     pages_per_zspage: usize,
     objs_per_zspage: usize,
     zspages: Vec<Option<Zspage>>,
@@ -65,7 +65,6 @@ impl SizeClass {
     fn new(class_size: usize) -> Self {
         let ppz = pages_per_zspage(class_size);
         SizeClass {
-            class_size,
             pages_per_zspage: ppz,
             objs_per_zspage: ppz * PAGE_SIZE / class_size,
             zspages: Vec::new(),
@@ -80,7 +79,6 @@ struct Location {
     class_idx: usize,
     zspage: usize,
     slot: usize,
-    len: usize,
 }
 
 /// zsmalloc-style dense pool.
@@ -130,10 +128,11 @@ impl ZsmallocPool {
                 }
             }
         }
+        let mut objects = Vec::new();
+        objects.resize_with(class.objs_per_zspage, || None);
         Ok(Zspage {
             frames,
-            data: vec![0; class.pages_per_zspage * PAGE_SIZE],
-            used: vec![false; class.objs_per_zspage],
+            objects,
             used_count: 0,
         })
     }
@@ -144,9 +143,10 @@ impl ZPool for ZsmallocPool {
         PoolKind::Zsmalloc
     }
 
-    fn store(&mut self, data: &[u8]) -> Result<Handle, PoolError> {
-        if data.len() > PAGE_SIZE {
-            return Err(PoolError::ObjectTooLarge { size: data.len() });
+    fn store_owned(&mut self, data: Box<[u8]>) -> Result<Handle, PoolError> {
+        let len = data.len();
+        if len > PAGE_SIZE {
+            return Err(PoolError::ObjectTooLarge { size: len });
         }
         if let Some(plan) = &self.faults {
             // Keyed by the pool's store count: single-writer per tier, so
@@ -158,7 +158,7 @@ impl ZPool for ZsmallocPool {
                 return Err(PoolError::OutOfMemory);
             }
         }
-        let class_size = class_size_for(data.len());
+        let class_size = class_size_for(len);
         let class = self
             .classes
             .entry(class_size)
@@ -184,12 +184,8 @@ impl ZPool for ZsmallocPool {
             }
         };
         let zsp = class.zspages[zsp_id].as_mut().expect("live zspage");
-        debug_assert!(!zsp.used[slot]);
-        let off = slot * class.class_size;
-        zsp.data[off..off + data.len()].copy_from_slice(data);
-        // Zero the class-size tail so stale bytes never leak on load.
-        zsp.data[off + data.len()..off + class.class_size].fill(0);
-        zsp.used[slot] = true;
+        debug_assert!(zsp.objects[slot].is_none());
+        zsp.objects[slot] = Some(data);
         zsp.used_count += 1;
 
         let handle = self.next_handle;
@@ -200,44 +196,37 @@ impl ZPool for ZsmallocPool {
                 class_idx: class_size,
                 zspage: zsp_id,
                 slot,
-                len: data.len(),
             },
         );
         self.stats.objects += 1;
-        self.stats.stored_bytes += data.len() as u64;
+        self.stats.stored_bytes += len as u64;
         self.stats.stores += 1;
         Ok(Handle(handle))
     }
 
-    fn load(&self, handle: Handle, dst: &mut Vec<u8>) -> Result<usize, PoolError> {
+    fn get(&self, handle: Handle) -> Result<&[u8], PoolError> {
         let loc = self.handles.get(&handle.0).ok_or(PoolError::BadHandle)?;
-        let class = self
-            .classes
+        self.classes
             .get(&loc.class_idx)
-            .ok_or(PoolError::BadHandle)?;
-        let zsp = class.zspages[loc.zspage]
-            .as_ref()
-            .ok_or(PoolError::BadHandle)?;
-        let off = loc.slot * class.class_size;
-        dst.extend_from_slice(&zsp.data[off..off + loc.len]);
-        Ok(loc.len)
+            .and_then(|class| class.zspages[loc.zspage].as_ref())
+            .and_then(|zsp| zsp.objects[loc.slot].as_deref())
+            .ok_or(PoolError::BadHandle)
     }
 
-    fn remove(&mut self, handle: Handle) -> Result<(), PoolError> {
+    fn take(&mut self, handle: Handle) -> Result<Box<[u8]>, PoolError> {
         let loc = self.handles.remove(&handle.0).ok_or(PoolError::BadHandle)?;
         let class = self
             .classes
             .get_mut(&loc.class_idx)
             .expect("class exists for live handle");
-        let emptied = {
+        let (data, emptied) = {
             let zsp = class.zspages[loc.zspage].as_mut().expect("live zspage");
-            debug_assert!(zsp.used[loc.slot]);
-            zsp.used[loc.slot] = false;
+            let data = zsp.objects[loc.slot].take().expect("live slot");
             zsp.used_count -= 1;
-            zsp.used_count == 0
+            (data, zsp.used_count == 0)
         };
         self.stats.objects -= 1;
-        self.stats.stored_bytes -= loc.len as u64;
+        self.stats.stored_bytes -= data.len() as u64;
         self.stats.removes += 1;
         if emptied {
             // Release the whole zspage and drop its published free slots.
@@ -254,7 +243,7 @@ impl ZPool for ZsmallocPool {
         } else {
             class.free_slots.push((loc.zspage, loc.slot));
         }
-        Ok(())
+        Ok(data)
     }
 
     fn stats(&self) -> PoolStats {
@@ -359,7 +348,7 @@ mod tests {
     }
 
     #[test]
-    fn short_object_tail_zeroed() {
+    fn reused_slot_loads_only_the_new_object() {
         let mut p = pool();
         let a = p.store(&[0xFFu8; 100]).unwrap();
         p.remove(a).unwrap();

@@ -213,7 +213,9 @@ impl ZswapSubsystem {
         self.tier_mut(id)?.load(stored)
     }
 
-    /// Fault a page out of tier `id` into `page` (decompress + invalidate).
+    /// Fault a page out of tier `id` into `page` (decompress + invalidate),
+    /// returning the compressed bytes it took (`None` for a same-filled
+    /// page).
     ///
     /// # Errors
     ///
@@ -223,7 +225,7 @@ impl ZswapSubsystem {
         id: TierId,
         stored: StoredPage,
         page: &mut [u8],
-    ) -> ZswapResult<()> {
+    ) -> ZswapResult<Option<Box<[u8]>>> {
         self.tier_mut(id)?.load_into(stored, page)
     }
 
@@ -264,8 +266,8 @@ impl ZswapSubsystem {
     /// implement that optimization); otherwise decompresses from the source
     /// and recompresses into the destination. `recompressed` is
     /// [`ZswapSubsystem::recompress`]'s output for this page when the
-    /// caller already computed it, or `None` to compute it here; the fast
-    /// path ignores it.
+    /// caller already computed it, moved into the destination pool as it
+    /// is, or `None` to compute it here; the fast path ignores it.
     ///
     /// # Errors
     ///
@@ -278,7 +280,7 @@ impl ZswapSubsystem {
         from: TierId,
         to: TierId,
         stored: StoredPage,
-        recompressed: Option<Compressed<&[u8]>>,
+        recompressed: Option<Compressed<Box<[u8]>>>,
     ) -> ZswapResult<MigrationOutcome> {
         if from == to {
             return Ok(MigrationOutcome {
@@ -292,7 +294,7 @@ impl ZswapSubsystem {
             // Same-filled markers migrate for free: pure bookkeeping.
             let new = self
                 .tier_mut(to)?
-                .insert(&Compressed::SameFilled(v), stored.original_len)?;
+                .insert(Compressed::<Box<[u8]>>::SameFilled(v), stored.original_len)?;
             MigrationOutcome {
                 stored: new,
                 fast_path: true,
@@ -309,7 +311,7 @@ impl ZswapSubsystem {
                 + t.config().pool.mgmt_overhead_ns();
             let new = self
                 .tier_mut(to)?
-                .store_precompressed(&compressed, stored.original_len)?;
+                .store_precompressed(compressed.into(), stored.original_len)?;
             MigrationOutcome {
                 stored: new,
                 fast_path: true,
@@ -318,16 +320,16 @@ impl ZswapSubsystem {
         } else {
             // Naive path: decompress then recompress (paper's default).
             let fault_ns = f.fault_latency_ns(stored.compressed_len);
-            let mut out = Vec::new();
             let compressed = match recompressed {
                 Some(c) => c,
                 None => {
-                    out.reserve(PAGE_SIZE);
+                    let mut out = Vec::with_capacity(PAGE_SIZE);
                     self.recompress(from, to, stored, &mut [0; PAGE_SIZE], &mut out)?
+                        .map(Box::from)
                 }
             };
             let t = self.tier_mut(to)?;
-            let new = t.insert(&compressed, stored.original_len)?;
+            let new = t.insert(compressed, stored.original_len)?;
             MigrationOutcome {
                 stored: new,
                 fast_path: false,
@@ -646,7 +648,7 @@ mod corruption_tests {
             let stored = z
                 .tier_mut(id)
                 .unwrap()
-                .store_precompressed(&bad, 4096)
+                .store_precompressed(bad.into(), 4096)
                 .unwrap();
             assert!(matches!(
                 z.tier(id).unwrap().decompress(stored),
@@ -680,7 +682,7 @@ mod corruption_tests {
             let via_split = z
                 .tier_mut(b)
                 .unwrap()
-                .insert(&compressed, page.len())
+                .insert(compressed, page.len())
                 .unwrap();
             let via_store = z.store(a, &page).unwrap();
             assert_eq!(via_split.compressed_len, via_store.compressed_len);

@@ -64,8 +64,9 @@ fn same_filled_value(page: &[u8]) -> Option<u8> {
 
 /// Output of [`CompressedTier::compress_into`]: what a store would place
 /// in the pool, computed without touching the tier. `B` gives the codec's
-/// output: the bytes themselves (`&[u8]`, what
-/// [`CompressedTier::insert`] takes), or where a caller keeps them.
+/// output: the bytes borrowed (`&[u8]`), owned (`Box<[u8]>`, which
+/// [`CompressedTier::insert`] moves into the pool as it is), or where a
+/// caller keeps them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Compressed<B> {
     /// Every byte of the page equals this value; stored as a marker.
@@ -86,20 +87,6 @@ impl<B> Compressed<B> {
             Compressed::Bytes(b) => Compressed::Bytes(f(b)),
             Compressed::Incompressible => Compressed::Incompressible,
             Compressed::Failed(e) => Compressed::Failed(e),
-        }
-    }
-
-    /// The same outcome with its output borrowed, as
-    /// [`CompressedTier::insert`] takes it.
-    pub fn as_bytes(&self) -> Compressed<&[u8]>
-    where
-        B: AsRef<[u8]>,
-    {
-        match self {
-            Compressed::SameFilled(v) => Compressed::SameFilled(*v),
-            Compressed::Bytes(b) => Compressed::Bytes(b.as_ref()),
-            Compressed::Incompressible => Compressed::Incompressible,
-            Compressed::Failed(e) => Compressed::Failed(e.clone()),
         }
     }
 }
@@ -188,7 +175,7 @@ impl CompressedTier {
     pub fn store(&mut self, page: &[u8]) -> ZswapResult<StoredPage> {
         let mut out = Vec::with_capacity(page.len());
         let compressed = self.compress_into(page, &mut out);
-        self.insert(&compressed, page.len())
+        self.insert(compressed, page.len())
     }
 
     /// The pure half of a store: same-filled detection, then this tier's
@@ -219,6 +206,7 @@ impl CompressedTier {
     /// The serial half of a store: draw the injected compression fault,
     /// count a rejection, or place the bytes in the pool, in that order.
     /// `original_len` is the length of the page `compressed` came from.
+    /// Owned bytes move into the pool; borrowed ones are copied.
     ///
     /// # Errors
     ///
@@ -227,12 +215,12 @@ impl CompressedTier {
     /// rejection rule — the caller must keep the page uncompressed);
     /// [`ZswapError::Codec`] if the codec failed; [`ZswapError::Pool`] on
     /// pool failures (e.g. backing node exhausted).
-    pub fn insert(
+    pub fn insert<B: Into<Box<[u8]>>>(
         &mut self,
-        compressed: &Compressed<&[u8]>,
+        compressed: Compressed<B>,
         original_len: usize,
     ) -> ZswapResult<StoredPage> {
-        if let &Compressed::SameFilled(v) = compressed {
+        if let Compressed::SameFilled(v) = compressed {
             self.stats.pages += 1;
             self.stats.stores += 1;
             self.stats.same_filled += 1;
@@ -252,25 +240,16 @@ impl CompressedTier {
                 return Err(ZswapError::CompressFailed);
             }
         }
-        let buf = match *compressed {
+        let buf = match compressed {
             Compressed::Bytes(buf) => buf,
             Compressed::Incompressible => {
                 self.stats.rejections += 1;
                 return Err(ZswapError::Incompressible);
             }
-            Compressed::Failed(ref e) => return Err(ZswapError::Codec(e.clone())),
+            Compressed::Failed(e) => return Err(ZswapError::Codec(e)),
             Compressed::SameFilled(_) => unreachable!("handled above"),
         };
-        let handle = self.pool.store(buf).map_err(ZswapError::Pool)?;
-        self.stats.pages += 1;
-        self.stats.compressed_bytes += buf.len() as u64;
-        self.stats.stores += 1;
-        Ok(StoredPage {
-            handle,
-            compressed_len: buf.len(),
-            original_len,
-            same_filled: None,
-        })
+        self.store_precompressed(buf.into(), original_len)
     }
 
     /// Decompress the page behind `stored` into `page[..stored.original_len]`
@@ -290,8 +269,8 @@ impl CompressedTier {
             page.fill(v);
             return Ok(());
         }
-        let compressed = self.peek_compressed(stored)?;
-        crate::decode_page(self.codec.as_ref(), &compressed, page)
+        let compressed = self.pool.get(stored.handle).map_err(ZswapError::Pool)?;
+        crate::decode_page(self.codec.as_ref(), compressed, page)
     }
 
     /// [`CompressedTier::decompress_into`] a new page buffer.
@@ -306,22 +285,31 @@ impl CompressedTier {
     }
 
     /// Fault path: decompress the page behind `stored` into
-    /// `page[..stored.original_len]` and invalidate it in the pool (zswap
-    /// removes the entry once the page returns to memory).
+    /// `page[..stored.original_len]` and take it out of the pool (zswap
+    /// removes the entry once the page returns to memory). Returns the
+    /// compressed bytes it took, or `None` for a same-filled page.
     ///
     /// # Errors
     ///
     /// See [`CompressedTier::decompress_into`]; on error the page stays
     /// stored.
-    pub fn load_into(&mut self, stored: StoredPage, page: &mut [u8]) -> ZswapResult<()> {
+    pub fn load_into(
+        &mut self,
+        stored: StoredPage,
+        page: &mut [u8],
+    ) -> ZswapResult<Option<Box<[u8]>>> {
         self.decompress_into(stored, page)?;
-        if !stored.is_same_filled() {
-            self.pool.remove(stored.handle).map_err(ZswapError::Pool)?;
-            self.stats.compressed_bytes -= stored.compressed_len as u64;
-        }
+        let taken = match stored.same_filled {
+            Some(_) => None,
+            None => {
+                let bytes = self.pool.take(stored.handle).map_err(ZswapError::Pool)?;
+                self.stats.compressed_bytes -= stored.compressed_len as u64;
+                Some(bytes)
+            }
+        };
         self.stats.pages -= 1;
         self.stats.faults += 1;
-        Ok(())
+        Ok(taken)
     }
 
     /// [`CompressedTier::load_into`] a new page buffer.
@@ -335,8 +323,9 @@ impl CompressedTier {
         Ok(page)
     }
 
-    /// Read the raw compressed bytes without decompressing or invalidating
-    /// (used by the same-algorithm migration fast path).
+    /// Copy out the raw compressed bytes without decompressing or
+    /// invalidating: for the same-algorithm migration fast path, whose
+    /// source must survive a failed store, and for swap writeback.
     ///
     /// # Errors
     ///
@@ -353,24 +342,29 @@ impl CompressedTier {
         Ok(compressed)
     }
 
-    /// Store bytes that are already compressed with this tier's algorithm
-    /// (migration fast path target side).
+    /// Move bytes that are already compressed with this tier's algorithm
+    /// into the pool (migration fast path target side). Draws no injected
+    /// compression fault: nothing is compressed.
     ///
     /// # Errors
     ///
     /// [`ZswapError::Pool`] on pool failures.
     pub fn store_precompressed(
         &mut self,
-        compressed: &[u8],
+        compressed: Box<[u8]>,
         original_len: usize,
     ) -> ZswapResult<StoredPage> {
-        let handle = self.pool.store(compressed).map_err(ZswapError::Pool)?;
+        let compressed_len = compressed.len();
+        let handle = self
+            .pool
+            .store_owned(compressed)
+            .map_err(ZswapError::Pool)?;
         self.stats.pages += 1;
-        self.stats.compressed_bytes += compressed.len() as u64;
+        self.stats.compressed_bytes += compressed_len as u64;
         self.stats.stores += 1;
         Ok(StoredPage {
             handle,
-            compressed_len: compressed.len(),
+            compressed_len,
             original_len,
             same_filled: None,
         })

@@ -71,7 +71,7 @@ fn main() {
     let mut stored = Vec::new();
     let mut rejected = 0u32;
     let tier = zswap.tier_mut(fast).expect("tier exists");
-    for c in &compressed {
+    for c in compressed {
         match tier.insert(c, buf.len()) {
             Ok(sp) => stored.push(sp),
             Err(ZswapError::Incompressible) => rejected += 1,

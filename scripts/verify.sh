@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Offline tier-1 gate: formatting, the full workspace test suite, a
-# warnings-as-errors lint pass, ts-lint, and a build of the benchmark
-# package against its own lock file. Everything runs against the vendored
-# in-repo dependency shims (crates/shims/), so no network access is needed
-# or attempted; --locked guards against silent lockfile drift.
+# warnings-as-errors lint pass, warnings-as-errors rustdoc, ts-lint, and a
+# build of the benchmark package against its own lock file. Everything runs
+# against the vendored in-repo dependency shims (crates/shims/), so no
+# network access is needed or attempted; --locked guards against silent
+# lockfile drift.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -15,6 +16,9 @@ cargo test --workspace --offline --locked
 
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets --offline --locked -- -D warnings
+
+echo "== cargo doc (deny warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --locked
 
 echo "== ts-lint (determinism/robustness rules) =="
 cargo run --release --offline --locked -p ts-lint

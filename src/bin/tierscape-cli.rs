@@ -45,12 +45,23 @@ impl Args {
         self.0.iter().any(|a| a == name)
     }
 
+    /// The argument after `name`, or `None` when the flag is absent. A
+    /// flag given twice, or with no value after it (last, or followed by
+    /// another flag), ends the run with exit code 2.
     fn value(&self, name: &str) -> Option<&str> {
-        self.0
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.0.get(i + 1))
-            .map(|s| s.as_str())
+        let mut at = (0..self.0.len()).filter(|&i| self.0[i] == name);
+        let i = at.next()?;
+        if at.next().is_some() {
+            eprintln!("{name} given more than once");
+            std::process::exit(2);
+        }
+        match self.0.get(i + 1) {
+            Some(v) if !v.starts_with("--") => Some(v),
+            _ => {
+                eprintln!("{name} needs a value");
+                std::process::exit(2);
+            }
+        }
     }
 
     /// The value of `name`, or `default` when the flag is absent. A value

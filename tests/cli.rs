@@ -1,5 +1,6 @@
-//! `tierscape-cli` argument handling: a malformed number is a usage error,
-//! never a silent fall-back to the flag's default.
+//! `tierscape-cli` argument handling: a malformed number, a repeated flag
+//! and a flag with no value are usage errors, never a silent fall-back to
+//! one occurrence or to the flag's default.
 
 use std::process::Command;
 
@@ -38,4 +39,23 @@ fn malformed_window_count_exits_two() {
 fn well_formed_numbers_run() {
     let (code, stderr) = run_cli(&["--windows", "1", "--fault-rate", "0.1"]);
     assert_eq!(code, Some(0), "{stderr}");
+}
+
+#[test]
+fn repeated_flag_exits_two() {
+    let (code, stderr) = run_cli(&["--windows", "1", "--windows", "6x"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("--windows"), "{stderr}");
+}
+
+#[test]
+fn flag_without_a_value_exits_two() {
+    for args in [
+        &["--windows", "1", "--seed"][..],
+        &["--seed", "--windows", "1"][..],
+    ] {
+        let (code, stderr) = run_cli(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("--seed"), "{args:?}: {stderr}");
+    }
 }

@@ -514,3 +514,85 @@ fn execute_plan_rejects_what_the_serial_path_rejects() {
         }
     }
 }
+
+#[test]
+fn execute_plan_reuses_what_the_serial_path_recompresses() {
+    // A page that faults out of CT-1 and is demoted back within the same
+    // window goes into the pool as the bytes its fault took: the engine
+    // runs neither fill_page nor lzo on it, while migrate_page compresses
+    // it afresh. A page that faulted out of CT-2 (zstd) must not bring its
+    // bytes into CT-1 (lzo). Both systems must leave the same placements,
+    // compressed lengths, tier and pool statistics and page contents, at
+    // 1 and at 2 workers.
+    use tierscape::sim::{Placement, PlannedMove};
+
+    for workers in [1, 2] {
+        let label = format!("{workers} workers");
+        let (mut engine, mut serial) = (
+            standard_system(WorkloadId::MemcachedYcsb, Fidelity::Real, 21),
+            standard_system(WorkloadId::MemcachedYcsb, Fidelity::Real, 21),
+        );
+        engine.install_obs();
+        let regions = engine.total_regions();
+        let plan = |dest: fn(u64) -> usize| -> Vec<PlannedMove> {
+            (0..regions)
+                .map(|region| PlannedMove {
+                    region,
+                    dest: Placement::Compressed(dest(region)),
+                })
+                .collect()
+        };
+        // Even regions into CT-1 and odd ones into CT-2; then every third
+        // page faults home and every region is planned into CT-1, twice.
+        let plans = [plan(|r| (r % 2) as usize), plan(|_| 0), plan(|_| 0)];
+        for (round, plan) in plans.iter().enumerate() {
+            engine.execute_plan(plan, workers);
+            for mv in plan {
+                serial.migrate_region(mv.region, mv.dest);
+            }
+            if round + 1 == plans.len() {
+                break;
+            }
+            for p in (0..engine.total_pages()).step_by(3) {
+                let addr = p * tierscape::mem::PAGE_SIZE as u64;
+                engine.access(addr, false);
+                serial.access(addr, false);
+            }
+        }
+
+        let reused: f64 = engine
+            .obs()
+            .expect("registry installed")
+            .spans()
+            .iter()
+            .filter(|s| s.name == "migrate.batch")
+            .flat_map(|s| s.fields.iter().filter(|(k, _)| k == "reused"))
+            .map(|&(_, n)| n)
+            .sum();
+        assert!(reused > 0.0, "{label}: no page reused its bytes");
+        assert_same_state(&engine, &serial, &label);
+        let (ze, zs) = (engine.zswap().expect("Real"), serial.zswap().expect("Real"));
+        for (t, (a, b)) in ze.tiers().iter().zip(zs.tiers()).enumerate() {
+            assert_eq!(a.stats(), b.stats(), "{label}: tier {t}");
+            assert_eq!(a.pool_stats(), b.pool_stats(), "{label}: tier {t} pool");
+        }
+        let mut content = vec![0u8; tierscape::mem::PAGE_SIZE];
+        for p in 0..engine.total_pages() {
+            let (a, b) = (engine.stored_page(p), serial.stored_page(p));
+            assert_eq!(a.is_some(), b.is_some(), "{label}: page {p}");
+            let (Some(a), Some(b), Placement::Compressed(t)) = (a, b, engine.page_placement(p))
+            else {
+                continue;
+            };
+            assert_eq!(a.compressed_len, b.compressed_len, "{label}: page {p}");
+            let loaded = ze.tiers()[t].decompress(a).expect("live page");
+            assert_eq!(
+                loaded,
+                zs.tiers()[t].decompress(b).expect("live page"),
+                "{label}: page {p}"
+            );
+            engine.workload().fill_page(p, &mut content);
+            assert_eq!(loaded, content, "{label}: page {p}");
+        }
+    }
+}

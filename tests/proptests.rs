@@ -503,7 +503,7 @@ proptest! {
                             .recompress(tiers[t], tiers[tsel], s, &mut buf, &mut out)
                             .expect("live source");
                         prop_assert_eq!(z.tier(tiers[t]).unwrap().stats(), before);
-                        let inserted = z.tier_mut(tiers[tsel]).unwrap().insert(&c, s.original_len);
+                        let inserted = z.tier_mut(tiers[tsel]).unwrap().insert(c, s.original_len);
                         // Whatever the destination did, the source copy is
                         // intact until it is released.
                         let class = PageClass::ALL[page_idx as usize % PageClass::ALL.len()];
