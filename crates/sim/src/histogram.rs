@@ -10,7 +10,15 @@ pub struct LatencyHistogram {
     total: u64,
     sum_ns: f64,
     max_ns: f64,
+    /// Direct-mapped memo of [`Self::bucket_of`], keyed by the sample's
+    /// exact bits: access latencies take a handful of values, and a hit
+    /// skips the `log2`. Every entry holds a true `(bits, bucket)` pair.
+    memo: [(u64, usize); MEMO_SLOTS],
 }
+
+/// Slots in [`LatencyHistogram::memo`]: `1 << MEMO_BITS`.
+const MEMO_BITS: u32 = 4;
+const MEMO_SLOTS: usize = 1 << MEMO_BITS;
 
 const BUCKETS_PER_OCTAVE: usize = 16;
 const OCTAVES: usize = 30; // 1 ns .. ~1 s.
@@ -30,6 +38,8 @@ impl LatencyHistogram {
             total: 0,
             sum_ns: 0.0,
             max_ns: 0.0,
+            // 0.0 is bucket 0.
+            memo: [(0, 0); MEMO_SLOTS],
         }
     }
 
@@ -47,7 +57,17 @@ impl LatencyHistogram {
 
     /// Record one latency sample in nanoseconds.
     pub fn record(&mut self, ns: f64) {
-        self.counts[Self::bucket_of(ns)] += 1;
+        let bits = ns.to_bits();
+        let slot = (bits.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - MEMO_BITS)) as usize;
+        let bucket = match self.memo[slot] {
+            (key, bucket) if key == bits => bucket,
+            _ => {
+                let bucket = Self::bucket_of(ns);
+                self.memo[slot] = (bits, bucket);
+                bucket
+            }
+        };
+        self.counts[bucket] += 1;
         self.total += 1;
         self.sum_ns += ns;
         if ns > self.max_ns {
@@ -134,6 +154,26 @@ mod tests {
         }
         let p90 = h.percentile(90.0);
         assert!((p90 - 90_000.0).abs() / 90_000.0 < 0.08, "p90 {p90}");
+    }
+
+    #[test]
+    fn memoised_bucket_matches_bucket_of() {
+        let mut samples = vec![0.0, -1.0, 1.0, 233.0, 370.0, 500.0, 1e12, f64::MAX];
+        samples.extend((1..=1000).map(|i| i as f64 * 7.5));
+        // Every bucket boundary, one ulp either side of it and on it.
+        for b in 0..=NBUCKETS {
+            let edge = 2f64.powf(b as f64 / BUCKETS_PER_OCTAVE as f64);
+            let bits = edge.to_bits();
+            samples.extend([bits - 1, bits, bits + 1].map(f64::from_bits));
+        }
+        let mut h = LatencyHistogram::new();
+        let mut counts = vec![0u64; NBUCKETS];
+        // Twice over, so the second pass hits what the first memoised.
+        for &ns in samples.iter().chain(&samples) {
+            h.record(ns);
+            counts[LatencyHistogram::bucket_of(ns)] += 1;
+            assert_eq!(h.counts, counts, "sample {ns:e}");
+        }
     }
 
     #[test]

@@ -596,7 +596,6 @@ impl TieredSystem {
                 obs.counter_max(&format!("{p}.faults"), ts.faults);
                 obs.counter_max(&format!("{p}.same_filled"), ts.same_filled);
                 obs.counter_max(&format!("{p}.compress_failures"), ts.compress_failures);
-                obs.counter_max(&format!("{p}.pool_loads"), ps.loads);
                 obs.counter_max(&format!("{p}.pool_ops"), ps.ops_total());
                 obs.gauge_set(&format!("{p}.pool_density"), ps.density());
             }

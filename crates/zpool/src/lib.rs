@@ -169,8 +169,6 @@ pub struct PoolStats {
     pub pool_pages: u64,
     /// Total store operations ever.
     pub stores: u64,
-    /// Total load operations ever.
-    pub loads: u64,
     /// Total remove operations ever.
     pub removes: u64,
 }
@@ -181,11 +179,11 @@ impl PoolStats {
         self.pool_pages * PAGE_SIZE as u64
     }
 
-    /// Total pool operations ever (stores + loads + removes); the cheap
+    /// Total pool operations ever (stores + removes); the cheap
     /// single-number activity counter the observability layer snapshots
     /// per window.
     pub fn ops_total(&self) -> u64 {
-        self.stores + self.loads + self.removes
+        self.stores + self.removes
     }
 
     /// Packing density: payload bytes per backing byte, in `[0, 1]`.
